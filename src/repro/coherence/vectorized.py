@@ -15,9 +15,11 @@ keeps the same state — tags, MESI states, LRU order — in flat arrays:
 
 The dict cache stays the runtime's resident representation (scalar
 ``access``/chaos/read/write paths keep dict speed); the engine imports
-its state with :meth:`VectorizedCoherentCache.from_scalar`, registers
-this cache's coherence callbacks for the duration of the batch, and
-exports the final state back with :meth:`export_to`.
+its state with :meth:`VectorizedCoherentCache.from_scalar` once per
+stream, registers this cache's coherence callbacks for the duration of
+the stream (every chunk of a ``run_trace_stream``, or the one chunk of
+a ``run_trace``), and exports the final state back with
+:meth:`export_to` when the stream ends or raises.
 
 Directory-initiated invalidations and downgrades land *during* a
 batch (FMem page evictions snoop every line of the victim page).  The

@@ -32,7 +32,7 @@ differential-test oracle (``engine="scalar"``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -77,7 +77,7 @@ _LINE_SHIFT = units.CACHE_LINE.bit_length() - 1
 
 #: Stand-in for a disabled per-page residency index (see
 #: ``_FusedLane.pageres``): its ``.get`` always misses, so the replay
-#: loops' append sites need no extra flag test.  Never written.
+#: loops' residency sites need no extra flag test.  Never written.
 _NO_PAGERES: dict = {}
 
 _S_INVALID = LineState.INVALID
@@ -226,16 +226,18 @@ class _FusedLane:
         # under the lane's feet (generic detours, prefetch inserts) or
         # the memoed page itself is drained.
         self.last_page = -1
-        # Per-page front-residency index: page tag -> list of line
+        # Per-page front-residency index: page tag -> set of line
         # tags the lane filled while the page was FMem-resident, or
         # None for pages whose fill set is unknown (resident before
         # the lane existed, or touched by a generic detour).  A page
-        # drain walks its (short) list through the live tag map
+        # drain walks its (short) set through the live tag map
         # instead of stripe-scanning the whole tag array; unknown
-        # pages keep the stripe scan.  Lists may carry stale or
-        # duplicate tags (victim evictions don't consult this index) —
-        # the tag-map probe filters both.  Disabled entirely under a
-        # prefetcher, whose fills this bookkeeping cannot see.
+        # pages keep the stripe scan.  Sets may carry stale tags
+        # (victim evictions don't consult this index) — the tag-map
+        # probe filters them — but never more than one page's lines,
+        # so the index stays bounded however long the stream runs.
+        # Disabled entirely under a prefetcher, whose fills this
+        # bookkeeping cannot see.
         if self.prefetch is None:
             pageres: Optional[dict] = {}
             for fm_lines in self.fm_lines:
@@ -449,7 +451,7 @@ class _FusedLane:
             if self.pageres is not None:
                 residents = self.pageres.get(page_tag)
                 if residents is not None:
-                    residents.append(line >> _LINE_SHIFT)
+                    residents.add(line >> _LINE_SHIFT)
             if page_tag != self.last_page:
                 self.fm_policies[fm_sidx].touch(page_tag)
                 self.last_page = page_tag
@@ -489,7 +491,7 @@ class _FusedLane:
         fm_lines[page_tag] = False
         policy.insert(page_tag)
         if self.pageres is not None:
-            self.pageres[page_tag] = [line >> _LINE_SHIFT]
+            self.pageres[page_tag] = {line >> _LINE_SHIFT}
         if victim_page is not None:
             self.drain_page(victim_page)
         read_ns = self.remote_read_ns(location.node, units.CACHE_LINE)
@@ -571,7 +573,7 @@ class _FusedLane:
         cap = self.cap
         pageres = self.pageres
         # With no pageres index, an empty dict's .get makes the hit
-        # branches' residency appends vanish without a per-miss flag.
+        # branches' residency adds vanish without a per-miss flag.
         pr_get = pageres.get if pageres is not None else _NO_PAGERES.get
         # Global access ordinal of the access aged ``age``: faults are
         # keyed by sequence number so streamed/sharded captures line up.
@@ -690,7 +692,7 @@ class _FusedLane:
                     # probe and the LRU touch are both no-op-equivalent.
                     residents = pr_get(page_tag)
                     if residents is not None:
-                        residents.append(tag)
+                        residents.add(tag)
                     l_stat_hits += 1
                     l_fm_hits += 1
                     l_fmem_hits += 1
@@ -705,7 +707,7 @@ class _FusedLane:
                 elif page_tag in fm_all[fm_sidx := page_tag & fm_set_mask]:
                     residents = pr_get(page_tag)
                     if residents is not None:
-                        residents.append(tag)
+                        residents.add(tag)
                     l_stat_hits += 1
                     if fm_lru:
                         order = fm_policies[fm_sidx]._order
@@ -751,7 +753,7 @@ class _FusedLane:
                     fm_lines[page_tag] = False
                     policy.insert(page_tag)
                     if pageres is not None:
-                        pageres[page_tag] = [tag]
+                        pageres[page_tag] = {tag}
                     if victim_page is not None:
                         self.drain_page(victim_page)
                     read_ns = (read_base if fast_net
@@ -904,7 +906,7 @@ class _FusedLane:
         pw_append = self.p_writes.append
         length = int(seg_tags.size)
         seq_off = seq0 - age0
-        # Residency list of the memoed page, so the hot fm-hit branch
+        # Residency set of the memoed page, so the hot fm-hit branch
         # skips the pageres probe.
         last_res = pr_get(last_page) if last_page >= 0 else None
         # The four per-miss float buckets accumulate in locals — the
@@ -1071,7 +1073,7 @@ class _FusedLane:
                 page_tag = tag >> tag_page_shift
                 if page_tag == last_page:
                     if last_res is not None:
-                        last_res.append(tag)
+                        last_res.add(tag)
                     l_stat_hits += 1
                     l_fm_hits += 1
                     l_fmem_hits += 1
@@ -1089,7 +1091,7 @@ class _FusedLane:
                 elif page_tag in fm_all[fm_sidx := page_tag & fm_set_mask]:
                     residents = pr_get(page_tag)
                     if residents is not None:
-                        residents.append(tag)
+                        residents.add(tag)
                     l_stat_hits += 1
                     order = fm_policies[fm_sidx]._order
                     if order[-1] != page_tag:
@@ -1135,7 +1137,7 @@ class _FusedLane:
                         fm_cache._occupied += 1
                     fm_lines[page_tag] = False
                     policy.insert(page_tag)
-                    last_res = [tag]
+                    last_res = {tag}
                     pageres[page_tag] = last_res
                     if victim_page is not None:
                         self.drain_page(victim_page)
@@ -1274,11 +1276,9 @@ class _FusedLane:
             # Fast path: the lane recorded every fill it made while
             # the page was resident, so probing those few tags against
             # the live tag map replaces the whole-array stripe scan.
-            # Stale tags (victim-evicted since) probe to -1; duplicate
-            # tags are idempotent (the first visit removes the line,
-            # or a SHARED copy is skipped every time).  Drain effects
-            # are order-insensitive (set/total semantics), so fill
-            # order vs. tag order is unobservable.
+            # Stale tags (victim-evicted since) probe to -1.  Drain
+            # effects are order-insensitive (set/total semantics), so
+            # set order vs. tag order is unobservable.
             tm_get = tag_map.get
             pairs = []
             for t in residents:
@@ -1464,27 +1464,34 @@ class _FusedLane:
             self.n_fmem_charges = 0
 
 
-def run_trace_batched(rt: "KonaRuntime", addrs: np.ndarray,
-                      writes: np.ndarray, base: int = 0,
-                      stall: float = 0.0,
+def run_trace_batched(rt: "KonaRuntime",
+                      chunks: Iterable[Tuple[np.ndarray, np.ndarray]],
+                      base: int = 0,
                       coalesced: Optional[bool] = None) -> float:
-    """Execute the access stream; returns the accumulated stall ns.
+    """Execute a stream of ``(addrs, writes)`` chunks; returns the
+    accumulated stall ns.
+
+    The CPU-cache state is imported and the fused lane built once per
+    stream: every chunk runs against the same front-end, carrying the
+    access ordinal, the capture numbering and the one stall chain (see
+    the ordering contract on :class:`_FusedLane`) across chunks, which
+    the caller has validated as cadence multiples (bar the last).
+    Between chunks the lane's deltas are published, so the caller's
+    iterator sees exact counters and may run maintenance or fabric
+    calls; the dict cache stays stale until the stream ends.
 
     State-, counter- and latency-identical to the scalar loop,
-    including mid-trace exceptions: an out-of-range address raises
+    including mid-stream exceptions: an out-of-range address raises
     :class:`AddressError` after the preceding accesses have fully
     executed, and back-end failures (e.g. ``NodeFailure``) propagate
     with the cache state at the failing access exported back.
 
     ``base`` rebases every address by a constant offset, applied per
     chunk — streamed columnar traces store region-relative addresses
-    and never materialize a rebased copy of the whole trace.  ``stall``
-    seeds the accumulator so streamed chunks continue one float
-    summation chain (see the ordering contract on :class:`_FusedLane`).
+    and never materialize a rebased copy of the whole trace.
     ``coalesced`` selects page-run grant coalescing for replayed
     segments (None: the ``KonaConfig.coalesced_replay`` default).
     """
-    n = int(addrs.size)
     cfg = rt.config
     if coalesced is None:
         coalesced = cfg.coalesced_replay
@@ -1495,81 +1502,97 @@ def run_trace_batched(rt: "KonaRuntime", addrs: np.ndarray,
     escape_frac = cfg.batch_escape_density
     reenter_frac = cfg.batch_reenter_hits
     miss_gate = 1.0 - cfg.miss_replay_density
-    directory = rt.agent.directory
-    front: VectorizedCoherentCache = None
+    front: Optional[VectorizedCoherentCache] = None
     lane: Optional[_FusedLane] = None
     lane_ok = _FusedLane.eligible(rt)
-    imported = False
     vf_start, vf_end = rt.vfmem.start, rt.vfmem.end
     tick = rt.obs.tick if rt.obs.sampler is not None else None
     maybe_evict = rt.maybe_evict
     counters = rt.counters
     # Causal capture numbers faults by global access ordinal: ``base``
-    # counts accesses completed before this run (streamed chunks), and
-    # each span/segment threads its chunk-relative offset down.
+    # counts accesses completed before this stream, and each
+    # span/segment threads its stream-relative offset down.
     cap = rt._capture
     seq_base = cap.base if cap is not None else 0
+    stall = 0.0
+    pos = 0   # stream ordinal of the next access (= its cadence phase)
+    vector_mode = True
     try:
-        pos = 0
-        vector_mode = True
-        while pos < n:
-            hi = min(pos + _CHUNK, n)
-            if not vector_mode:
-                # Scalar stretch (mode switches land on chunk = cadence
-                # boundaries, so maintenance timing is unchanged).
-                hits0 = counters["cache_hits"]
-                if cap is not None:
-                    cap.base = seq_base + pos
-                stall = rt._run_trace_scalar(addrs[pos:hi], writes[pos:hi],
-                                             stall, base=base)
-                hits = counters["cache_hits"] - hits0
-                vector_mode = hits >= (hi - pos) * reenter_frac
-                pos = hi
-                continue
-            if not imported:
-                front = VectorizedCoherentCache.from_scalar(rt.cpu_cache)
-                front.attach(directory)
-                front.record_mutations = True
-                imported = True
-                if lane_ok:
-                    lane = _FusedLane(rt, front)
-            a = np.asarray(addrs[pos:hi]).astype(np.int64, copy=False)
-            if base:
-                a = a + base
-            w = np.ascontiguousarray(writes[pos:hi], dtype=bool)
-            ok = (a >= vf_start) & (a < vf_end)
-            limit = a.size if ok.all() else int(ok.argmin())
-            tags = a >> _LINE_SHIFT
-            stall, replayed = _run_span(rt, front, tags[:limit], w[:limit],
-                                        pos, stall, maybe_evict, tick, lane,
-                                        seq_base + pos, miss_gate, coalesced)
-            if limit < a.size:
-                # Same behaviour as the scalar loop: every access before
-                # the bad one has executed; the bad one raises.
-                raise AddressError(
-                    f"{int(a[limit]):#x} is not Kona-managed memory")
-            pos = hi
-            if lane is None and replayed > a.size * escape_frac:
-                # No fused lane (tracing, extra agents, content shadow):
-                # mostly-scalar replay is slower than the dict-cache
-                # loop, so export and run scalar until the trace turns
-                # hot again.  With the lane, replayed misses are faster
-                # than the dict path and the engine never escapes.
-                front.record_mutations = False
-                front.export_to(rt.cpu_cache)
-                rt.cpu_cache.attach(directory)
-                imported = False
-                vector_mode = False
+        for chunk_addrs, chunk_writes in chunks:
+            for lo in range(0, int(chunk_addrs.size), _CHUNK):
+                addrs = chunk_addrs[lo:lo + _CHUNK]
+                writes = chunk_writes[lo:lo + _CHUNK]
+                n = int(addrs.size)
+                if not vector_mode:
+                    # Scalar stretch (mode switches land on span =
+                    # cadence boundaries, so maintenance timing is
+                    # unchanged).
+                    hits0 = counters["cache_hits"]
+                    if cap is not None:
+                        cap.base = seq_base + pos
+                    stall = rt._run_trace_scalar(addrs, writes, stall,
+                                                 base=base)
+                    hits = counters["cache_hits"] - hits0
+                    vector_mode = hits >= n * reenter_frac
+                    pos += n
+                    continue
+                if front is None:
+                    front = VectorizedCoherentCache.from_scalar(rt.cpu_cache)
+                    front.attach(rt.agent.directory)
+                    front.record_mutations = True
+                    rt._cache_stale = True
+                    if lane_ok:
+                        lane = _FusedLane(rt, front)
+                a = np.asarray(addrs).astype(np.int64, copy=False)
+                if base:
+                    a = a + base
+                w = np.ascontiguousarray(writes, dtype=bool)
+                ok = (a >= vf_start) & (a < vf_end)
+                limit = n if ok.all() else int(ok.argmin())
+                tags = a >> _LINE_SHIFT
+                stall, replayed = _run_span(rt, front, tags[:limit],
+                                            w[:limit], pos, stall,
+                                            maybe_evict, tick, lane,
+                                            seq_base + pos, miss_gate,
+                                            coalesced)
+                if limit < n:
+                    # Same behaviour as the scalar loop: every access
+                    # before the bad one has executed; the bad one raises.
+                    raise AddressError(
+                        f"{int(a[limit]):#x} is not Kona-managed memory")
+                pos += n
+                if lane is None and replayed > n * escape_frac:
+                    # No fused lane (tracing, extra agents, content
+                    # shadow): mostly-scalar replay is slower than the
+                    # dict-cache loop, so export and run scalar until the
+                    # trace turns hot again.  With the lane, replayed
+                    # misses are faster than the dict path and the engine
+                    # never escapes.
+                    _export(rt, front)
+                    front = None
+                    vector_mode = False
+            if lane is not None:
+                # The iterator runs next: publish the batched deltas
+                # (it may read counters) and drop the MRU page memo (it
+                # may reclaim FMem pages, e.g. ``maybe_evict``).
+                lane.flush()
+                lane.last_page = -1
         if cap is not None:
-            cap.base = seq_base + n
+            cap.base = seq_base + pos
     finally:
         if lane is not None:
             lane.flush()
-        if imported:
-            front.record_mutations = False
-            front.export_to(rt.cpu_cache)
-            rt.cpu_cache.attach(directory)
+        if front is not None:
+            _export(rt, front)
     return stall
+
+
+def _export(rt: "KonaRuntime", front: VectorizedCoherentCache) -> None:
+    """Hand the CPU-cache state back to the runtime's dict cache."""
+    rt._cache_stale = False
+    front.record_mutations = False
+    front.export_to(rt.cpu_cache)
+    rt.cpu_cache.attach(rt.agent.directory)
 
 
 def _run_span(rt: "KonaRuntime", front: VectorizedCoherentCache,

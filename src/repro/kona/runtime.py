@@ -21,7 +21,8 @@ import numpy as np
 
 from ..common import units
 from ..common.clock import Account
-from ..common.errors import AddressError, ConfigError, NodeFailure
+from ..common.errors import (AddressError, ConfigError, NodeFailure,
+                             SimulationError)
 from ..common.latency import DEFAULT_LATENCY, LatencyModel
 from ..common.retry import Retrier, RetryPolicy
 from ..common.stats import Counter
@@ -53,6 +54,10 @@ VFMEM_BASE = 4 * units.GB
 
 #: Accesses materialized per chunk by the scalar trace loop.
 _SCALAR_CHUNK = 1 << 16
+
+_CACHE_HELD = ("a batched run_trace_stream holds the CPU-cache state; its "
+               "chunk iterator must not call access/read/write/flush/"
+               "run_trace (the dict cache is stale until the stream ends)")
 
 
 def build_rack(fabric: Fabric, num_nodes: int, node_capacity: int,
@@ -184,6 +189,9 @@ class KonaRuntime:
         #: Causal fault capture (attach_causal_capture); None keeps the
         #: access and replay hot paths at a single pointer test.
         self._capture = None
+        #: True while the batched engine's front-end holds the CPU-cache
+        #: state, so the dict cache must not be read.
+        self._cache_stale = False
         self._register_metrics()
 
     # -- wiring helpers -----------------------------------------------------------
@@ -471,6 +479,13 @@ class KonaRuntime:
         Page faults never appear on this path — VFMem pages are always
         present.
         """
+        if self._cache_stale:
+            raise SimulationError(_CACHE_HELD)
+        return self._access(addr, is_write)
+
+    def _access(self, addr: int, is_write: bool) -> float:
+        # The trace loops check the stale-cache guard once per call,
+        # not once per access.
         if addr not in self.vfmem:
             raise AddressError(f"{addr:#x} is not Kona-managed memory")
         cap = self._capture
@@ -506,11 +521,13 @@ class KonaRuntime:
     def _span_access(self, addr: int, size: int, is_write: bool) -> float:
         if size <= 0:
             raise ConfigError(f"access of {size} bytes")
+        if self._cache_stale:
+            raise SimulationError(_CACHE_HELD)
         first = align_down(addr, units.CACHE_LINE)
         last = align_down(addr + size - 1, units.CACHE_LINE)
         total = 0.0
         for line in range(first, last + 1, units.CACHE_LINE):
-            total += self.access(line, is_write)
+            total += self._access(line, is_write)
         return total
 
     def run_workload(self, model, windows: int = 2, seed: int = 0,
@@ -553,82 +570,70 @@ class KonaRuntime:
         addresses, and rebasing per chunk avoids materializing a
         shifted copy of a 100M-entry array.
         """
-        if addrs.shape != writes.shape:
-            raise ConfigError("addrs and writes must have identical shape")
-        if engine in ("batched", "coalesced") and self.content is not None:
-            # The data plane versions writes per access; the batched
-            # front-end bulk-resolves hits and would skip them.
-            engine = "scalar"
-        if engine == "batched":
-            stall = run_trace_batched(self, addrs, writes, base=base)
-        elif engine == "coalesced":
-            stall = run_trace_batched(self, addrs, writes, base=base,
-                                      coalesced=True)
-        elif engine == "scalar":
-            stall = self._run_trace_scalar(addrs, writes, base=base)
-        else:
-            raise ConfigError(f"unknown run_trace engine {engine!r}; "
-                              "choose 'batched', 'coalesced' or 'scalar'")
-        app = self.app_ns_per_access * addrs.size
-        self.account.charge("app_compute", app)
-        return ExecutionReport(
-            name="kona",
-            accesses=int(addrs.size),
-            elapsed_ns=stall + app,
-            background_ns=self.background_ns,
-            account=self.account,
-            counters=self.counters,
-            bytes_fetched=(self.agent.counters["remote_fetches"]
-                           * self.config.fetch_block),
-            bytes_written_back=self.eviction.stats.wire_bytes,
-        )
+        return self.run_trace_stream([(addrs, writes)], engine=engine,
+                                     base=base)
 
     def run_trace_stream(self, chunks, engine: str = "batched",
                          base: int = 0) -> ExecutionReport:
         """Execute a chunked access stream without holding it in RAM.
 
         ``chunks`` yields ``(addrs, writes)`` array pairs (e.g. from
-        :func:`repro.workloads.trace.iter_trace_chunks`).  Every chunk
-        except the last must be a multiple of the 256-access
-        maintenance cadence, which makes the ``maybe_evict``/sampler
-        schedule — and therefore every counter and the bit-exact
-        ``elapsed_ns`` — identical to one monolithic ``run_trace`` over
-        the concatenated trace.  One float stall-accumulation chain
-        threads through all chunks (see the ordering contract in
-        ``docs/architecture.md``).
+        :func:`repro.workloads.trace.iter_trace_chunks`); empty ones
+        are skipped.  Every chunk except the last must be a multiple of
+        the 256-access maintenance cadence, which makes the
+        ``maybe_evict``/sampler schedule — and therefore every counter
+        and the bit-exact ``elapsed_ns`` — identical to one monolithic
+        ``run_trace`` over the concatenated trace.  One float
+        stall-accumulation chain threads through all chunks (see the
+        ordering contract in ``docs/architecture.md``).
+
+        The batched engines hold the CPU-cache state from the first
+        chunk to the end of the stream, so the chunk iterator must not
+        use the data path: ``access``/``read``/``write``/``flush`` and
+        a nested ``run_trace`` raise :class:`SimulationError` there.
+        Counter reads, maintenance (``maybe_evict``) and fabric and
+        health calls (``fabric.fail_node``, ``recover``) are fine.  A
+        causal capture or gauge sampler is bound when the stream starts.
         """
         if engine not in ("batched", "coalesced", "scalar"):
             raise ConfigError(f"unknown run_trace engine {engine!r}; "
                               "choose 'batched', 'coalesced' or 'scalar'")
-        if engine in ("batched", "coalesced") and self.content is not None:
+        if self._cache_stale:
+            raise SimulationError(_CACHE_HELD)
+        if engine != "scalar" and self.content is not None:
+            # The data plane versions writes per access; the batched
+            # front-end bulk-resolves hits and would skip them.
             engine = "scalar"
-        stall = 0.0
         total = 0
-        pending = False   # a non-multiple chunk must be the last one
-        for addrs, writes in chunks:
-            if addrs.shape != writes.shape:
-                raise ConfigError("addrs and writes must have identical "
-                                  "shape")
-            if pending:
-                raise ConfigError(
-                    "streamed chunks must be multiples of the 256-access "
-                    "maintenance cadence (only the final chunk may be "
-                    "ragged)")
-            n = int(addrs.size)
-            if n == 0:
-                continue
-            if n % 256:
-                pending = True
-            if engine == "batched":
-                stall = run_trace_batched(self, addrs, writes, base=base,
-                                          stall=stall)
-            elif engine == "coalesced":
-                stall = run_trace_batched(self, addrs, writes, base=base,
-                                          stall=stall, coalesced=True)
-            else:
+
+        def validated():
+            nonlocal total
+            ragged = False   # a non-multiple chunk must be the last one
+            for addrs, writes in chunks:
+                if addrs.shape != writes.shape:
+                    raise ConfigError("addrs and writes must have "
+                                      "identical shape")
+                n = int(addrs.size)
+                if n == 0:
+                    continue
+                if ragged:
+                    raise ConfigError(
+                        "streamed chunks must be multiples of the "
+                        "256-access maintenance cadence (only the final "
+                        "chunk may be ragged)")
+                ragged = n % 256 != 0
+                total += n
+                yield addrs, writes
+
+        if engine == "scalar":
+            stall = 0.0
+            for addrs, writes in validated():
                 stall = self._run_trace_scalar(addrs, writes, stall,
                                                base=base)
-            total += n
+        else:
+            stall = run_trace_batched(self, validated(), base=base,
+                                      coalesced=engine == "coalesced"
+                                      or None)
         app = self.app_ns_per_access * total
         self.account.charge("app_compute", app)
         return ExecutionReport(
@@ -653,7 +658,7 @@ class KonaRuntime:
         can continue one float-accumulation chain — float addition is
         not associative, and the engines must agree bit for bit.
         """
-        access = self.access
+        access = self._access   # callers checked _cache_stale
         maybe_evict = self.maybe_evict
         # The tick only drives the gauge sampler; skip it entirely when
         # none is attached instead of paying a call every 256 accesses.
@@ -785,6 +790,8 @@ class KonaRuntime:
         Returns background ns consumed.  Used at teardown and by tests
         asserting end-to-end dirty-data conservation.
         """
+        if self._cache_stale:
+            raise SimulationError(_CACHE_HELD)
         before = self.background_ns
         self.cpu_cache.flush_tracked()
         for page_addr in self.fmem.resident_pages():
