@@ -27,7 +27,7 @@ Usage::
     python -m repro trace-convert --input SRC --out DST
                                   [--to columnar|npz]
     python -m repro trace-replay --input DIR [--chunk N] [--shards N]
-                                 [--engine batched|coalesced|scalar]
+                                 [--engine batched|scalar]
                                  [--processes N] [--rss-ceiling-mb MB]
                                  [--fleet-out FILE] [--tenant NAME]
     python -m repro faults [--seed 0] [--ops 20000] [--top 10]
@@ -995,12 +995,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trace-replay: VFMem capacity (MB)")
     parser.add_argument("--shards", type=int, default=1,
                         help="trace-replay: page-modulo address shards")
-    parser.add_argument("--engine", choices=["batched", "coalesced",
-                                             "scalar"],
+    parser.add_argument("--engine", choices=["batched", "scalar"],
                         default="batched",
-                        help="trace-replay: replay engine (coalesced = "
-                             "batched front cache with one directory "
-                             "transaction per page run on the miss path)")
+                        help="trace-replay: replay engine")
     parser.add_argument("--rss-ceiling-mb", type=float, default=None,
                         help="trace-replay: fail if peak RSS exceeds "
                              "this many MB (streaming memory guard)")

@@ -21,6 +21,14 @@ they differ in *when* dirty data becomes home-visible:
 The directory supports multiple caching agents (e.g. two sockets) even
 though the paper's deployment has one; invariants are asserted so
 property-based tests can hammer the protocol.
+
+**Storage.**  Like the FPGA's directory, which needs only a few bits
+of state per line, each tracked line is one packed int in
+``Directory._entries`` (see :data:`OWNER_SHIFT`): the state code in
+the low 3 bits, ``owner + 1`` above it (0: no owner) and one sharer
+bit per agent id above that.  INVALID lines are *absent*, so the
+directory holds exactly the lines some cache holds, and every
+transition is one dict store or delete.
 """
 
 from __future__ import annotations
@@ -32,7 +40,8 @@ from ..common import units
 from ..common.errors import CoherenceError
 from ..common.stats import Counter
 from ..mem.address import AddressRange
-from .states import CoherenceEvent, EventKind, LineState, Protocol
+from .states import (CODE_OF, STATE_OF, CoherenceEvent, EventKind, LineState,
+                     Protocol)
 
 
 Observer = Callable[[CoherenceEvent], None]
@@ -40,14 +49,53 @@ BatchObserver = Callable[[List[CoherenceEvent]], None]
 #: invalidate(line) -> was_dirty; downgrade(line) -> was_dirty.
 AgentCallbacks = Tuple[Callable[[int], bool], Optional[Callable[[int], bool]]]
 
+#: Packed line entry layout: ``state | (owner + 1) << OWNER_SHIFT |
+#: sharer bits << SHARER_SHIFT``, with the state codes of
+#: ``states.CODE_OF`` (S=1, E=2, O=3, M=4; INVALID lines are absent).
+STATE_MASK = 0b111
+OWNER_SHIFT = 3
+OWNER_BITS = 16
+SHARER_SHIFT = OWNER_SHIFT + OWNER_BITS
+_OWNER_MASK = (1 << OWNER_BITS) - 1
+#: The largest agent id the owner field can hold.
+MAX_AGENT_ID = _OWNER_MASK - 1
+_SHARED_CODE = CODE_OF[LineState.SHARED]
+_OWNED_CODE = CODE_OF[LineState.OWNED]
+
 
 @dataclass(slots=True)
 class DirectoryEntry:
-    """Directory state for one cache line."""
+    """Decoded view of one line's packed entry.
+
+    Only the generic (multi-agent) transitions decode entries; the view
+    is transient and written back with :meth:`encode`.
+    """
 
     state: LineState = LineState.INVALID
     owner: Optional[int] = None      # agent id when E/M/O
     sharers: Set[int] = field(default_factory=set)
+
+    @classmethod
+    def decode(cls, code: int) -> "DirectoryEntry":
+        """The view of a packed entry (0 decodes to INVALID)."""
+        owner = (code >> OWNER_SHIFT) & _OWNER_MASK
+        sharers = set()
+        mask = code >> SHARER_SHIFT
+        while mask:
+            low = mask & -mask
+            sharers.add(low.bit_length() - 1)
+            mask ^= low
+        return cls(STATE_OF[code & STATE_MASK],
+                   owner - 1 if owner else None, sharers)
+
+    def encode(self) -> int:
+        """The packed form (0 for INVALID)."""
+        code = CODE_OF[self.state]
+        if self.owner is not None:
+            code |= (self.owner + 1) << OWNER_SHIFT
+        for agent in self.sharers:
+            code |= 1 << (SHARER_SHIFT + agent)
+        return code
 
     def check_invariants(self) -> None:
         """Raise if the entry violates directory invariants."""
@@ -72,6 +120,13 @@ class DirectoryEntry:
                 raise CoherenceError("INVALID entry with residual state")
 
 
+def _check_agent(agent_id: int) -> None:
+    if not 0 <= agent_id <= MAX_AGENT_ID:
+        raise CoherenceError(
+            f"agent id {agent_id} outside [0, {MAX_AGENT_ID}]: the packed "
+            f"directory entry cannot hold it")
+
+
 class Directory:
     """Home agent for ``home_range``; observes all fills and writebacks."""
 
@@ -79,7 +134,8 @@ class Directory:
                  protocol: Protocol = Protocol.MESI) -> None:
         self.home_range = home_range
         self.protocol = protocol
-        self._entries: Dict[int, DirectoryEntry] = {}
+        #: line address -> packed entry; INVALID lines are absent.
+        self._entries: Dict[int, int] = {}
         self._observers: List[Observer] = []
         self._batch_observers: List[Optional[BatchObserver]] = []
         self.counters = Counter()
@@ -108,8 +164,10 @@ class Directory:
         ``invalidate(line_addr)`` drops the agent's copy and returns
         True if it was dirty.  ``downgrade(line_addr)`` (MOESI) demotes
         a dirty copy to OWNED and returns True if it was dirty; agents
-        that never share dirty data may omit it.
+        that never share dirty data may omit it.  Agent ids must fit
+        the packed entry: ``0 <= agent_id <= MAX_AGENT_ID``.
         """
+        _check_agent(agent_id)
         self._agents[agent_id] = (invalidate, downgrade)
 
     def _emit(self, event: CoherenceEvent) -> None:
@@ -127,11 +185,16 @@ class Directory:
 
     def _entry(self, line_addr: int) -> DirectoryEntry:
         self._check_home(line_addr)
-        entry = self._entries.get(line_addr)
-        if entry is None:
-            entry = DirectoryEntry()
-            self._entries[line_addr] = entry
-        return entry
+        return DirectoryEntry.decode(self._entries.get(line_addr, 0))
+
+    def _store(self, line_addr: int, entry: DirectoryEntry) -> None:
+        """Check and write back a decoded entry (INVALID: delete it)."""
+        entry.check_invariants()
+        code = entry.encode()
+        if code:
+            self._entries[line_addr] = code
+        else:
+            self._entries.pop(line_addr, None)
 
     def _check_home(self, line_addr: int) -> None:
         if line_addr not in self.home_range:
@@ -148,6 +211,7 @@ class Directory:
         Returns the state granted to the requester (EXCLUSIVE only when
         it is the sole holder and the protocol has an E state).
         """
+        _check_agent(agent_id)
         entry = self._entry(line_addr)
         self.counters.add("get_s")
         if entry.state in (LineState.MODIFIED, LineState.EXCLUSIVE):
@@ -171,7 +235,7 @@ class Directory:
             entry.owner = None
             entry.sharers.add(agent_id)
             granted = LineState.SHARED
-        entry.check_invariants()
+        self._store(line_addr, entry)
         self._emit(CoherenceEvent(EventKind.FILL, line_addr, is_write=False))
         return granted
 
@@ -182,7 +246,9 @@ class Directory:
         The owner keeps a copy and supplies the data.  Under MOESI a
         dirty owner stays dirty in OWNED (no home writeback yet); under
         MSI/MESI a dirty copy is written back to the home (a tracked
-        writeback) and everyone degrades to SHARED.
+        writeback) and everyone degrades to SHARED.  Only ``entry`` (the
+        caller's view) changes: the writeback is emitted while the old
+        state is still stored.
         """
         owner = entry.owner
         if owner is None:
@@ -209,6 +275,7 @@ class Directory:
 
     def get_modified(self, line_addr: int, agent_id: int) -> None:
         """GetM: agent write-misses (or upgrades) on a line homed here."""
+        _check_agent(agent_id)
         entry = self._entry(line_addr)
         self.counters.add("get_m")
         was_resident = agent_id in entry.sharers or entry.owner == agent_id
@@ -223,7 +290,7 @@ class Directory:
         entry.state = LineState.MODIFIED
         entry.owner = agent_id
         entry.sharers = {agent_id}
-        entry.check_invariants()
+        self._store(line_addr, entry)
         if was_resident:
             self._emit(CoherenceEvent(EventKind.UPGRADE, line_addr,
                                       is_write=True))
@@ -282,7 +349,7 @@ class Directory:
             entry.state = LineState.INVALID
             entry.owner = None
             entry.sharers = set()
-        entry.check_invariants()
+        self._store(line_addr, entry)
 
     def put_clean(self, line_addr: int, agent_id: int) -> None:
         """PutE/PutS: agent drops a clean line (no data transfer)."""
@@ -299,7 +366,7 @@ class Directory:
             entry.state = (LineState.SHARED if entry.sharers
                            else LineState.INVALID)
         # else: another agent still owns the line; its state stands.
-        entry.check_invariants()
+        self._store(line_addr, entry)
 
     def snoop(self, line_addr: int) -> bool:
         """Pull the latest copy of a (possibly dirty) line from caches.
@@ -308,16 +375,26 @@ class Directory:
         case the CPU has a newer copy (paper section 4.4).  Returns
         True if a dirty copy was recalled.
         """
-        entry = self._entries.get(line_addr)
+        code = self._entries.get(line_addr)
         self.counters.add("snoops")
-        if entry is None or entry.state in (LineState.INVALID,
-                                            LineState.SHARED):
+        if code is None or code & STATE_MASK == _SHARED_CODE:
             # Shared copies are clean by construction; nothing to pull.
             return False
         # E lines may have been silently upgraded to M, and O lines are
         # dirty by definition, so the snoop must go out and ask.  The
         # agent's invalidation callback reports whether its copy was
         # dirty.
+        was_dirty = self._recall(line_addr, DirectoryEntry.decode(code))
+        if was_dirty:
+            self._emit(CoherenceEvent(EventKind.SNOOPED, line_addr,
+                                      is_write=True))
+        return bool(was_dirty)
+
+    def _recall(self, line_addr: int, entry: DirectoryEntry) -> bool:
+        """Invalidate an E/M/O line's owner copy; True if it was dirty.
+
+        The new state is stored before the caller emits SNOOPED.
+        """
         owner = entry.owner
         if owner is None:
             raise CoherenceError("E/M/O entry without owner during snoop")
@@ -328,11 +405,8 @@ class Directory:
         entry.owner = None
         entry.state = (LineState.SHARED if entry.sharers
                        else LineState.INVALID)
-        entry.check_invariants()
-        if was_dirty:
-            self._emit(CoherenceEvent(EventKind.SNOOPED, line_addr,
-                                      is_write=True))
-        return bool(was_dirty)
+        self._store(line_addr, entry)
+        return was_dirty
 
     def snoop_page(self, page_addr: int, page_size: int) -> int:
         """Bulk :meth:`snoop` of every line in one page.
@@ -346,195 +420,18 @@ class Directory:
         recalled.
         """
         entries = self._entries
-        agents = self._agents
-        invalid = LineState.INVALID
-        shared = LineState.SHARED
         self.counters.add("snoops", page_size // units.CACHE_LINE)
         dirty = 0
         for line_addr in range(page_addr, page_addr + page_size,
                                units.CACHE_LINE):
-            entry = entries.get(line_addr)
-            if entry is None or entry.state is invalid \
-                    or entry.state is shared:
+            code = entries.get(line_addr)
+            if code is None or code & STATE_MASK == _SHARED_CODE:
                 continue
-            owner = entry.owner
-            if owner is None:
-                raise CoherenceError(
-                    "E/M/O entry without owner during snoop")
-            invalidate, _ = agents.get(owner, (None, None))
-            was_dirty = (entry.state.dirty if invalidate is None
-                         else invalidate(line_addr))
-            entry.sharers.discard(owner)
-            entry.owner = None
-            entry.state = shared if entry.sharers else invalid
-            entry.check_invariants()
-            if was_dirty:
+            if self._recall(line_addr, DirectoryEntry.decode(code)):
                 dirty += 1
                 self._emit(CoherenceEvent(EventKind.SNOOPED, line_addr,
                                           is_write=True))
         return dirty
-
-    # -- coalesced (page-run) transactions ----------------------------------------
-
-    def acquire_page_run(self, page_addr: int, n_reads: int, n_writes: int,
-                         first_is_write: bool, agent_id: int,
-                         lines: Sequence[int], writes: Sequence[bool],
-                         page_size: int = units.PAGE_4K
-                         ) -> Tuple[List[LineState], int]:
-        """One directory transaction for a page run of misses.
-
-        A *page run* is a maximal slice of a (page, seq)-sorted miss
-        stream whose lines share one page: ``lines``/``writes`` list
-        the run's line addresses and write-intent in original ``seq``
-        order, and the ``(page_addr, n_reads, n_writes,
-        first_is_write)`` header summarizes the transaction the caller
-        compiled.  Per line the state transition, counter increment
-        and invalidation fan-out are exactly what the per-event
-        :meth:`get_shared`/:meth:`get_modified` pair would produce,
-        with one deliberate difference: **no FILL/UPGRADE events are
-        emitted** — the coalesced engine serves its fills inline, so
-        emitting here would double-serve them.  Writeback side effects
-        that carry tracking semantics (a dirty owner degraded by a
-        read, i.e. ``_share_dirty_owner``) still emit their
-        DIRTY_WRITEBACK events.
-
-        Returns ``(grants, invalidations)``: the state granted per
-        line in ``seq`` order (the same grant sequence — and hence the
-        same downstream fill/stall sequence — as the per-event loop)
-        and the number of other-agent copies invalidated.
-        """
-        self._check_home(page_addr)
-        if page_addr % page_size:
-            raise CoherenceError(f"{page_addr:#x} is not page aligned")
-        if len(lines) != len(writes):
-            raise CoherenceError("lines and writes must have equal length")
-        if not lines:
-            return [], 0
-        nw = sum(1 for w in writes if w)
-        if nw != n_writes or len(lines) - nw != n_reads:
-            raise CoherenceError(
-                f"page-run header says {n_reads}r/{n_writes}w, lines carry "
-                f"{len(lines) - nw}r/{nw}w")
-        if bool(writes[0]) != bool(first_is_write):
-            raise CoherenceError("first_is_write disagrees with writes[0]")
-        hi = page_addr + page_size
-        for line in lines:
-            if not page_addr <= line < hi:
-                raise CoherenceError(
-                    f"line {line:#x} outside page run at {page_addr:#x}")
-            if line % units.CACHE_LINE:
-                raise CoherenceError(f"{line:#x} is not line aligned")
-        grants: List[LineState] = []
-        invalidations = 0
-        for line, is_write in zip(lines, writes):
-            granted, inval = self._acquire_line(line, is_write, agent_id)
-            grants.append(granted)
-            invalidations += inval
-        return grants, invalidations
-
-    def acquire_page_runs(self, lines: Sequence[int],
-                          writes: Sequence[bool], agent_id: int) -> int:
-        """Compiled batch of :meth:`acquire_page_run` transactions.
-
-        ``lines``/``writes`` are the distinct missed lines of one
-        replay segment in (page, seq)-sorted order, so each
-        page-contiguous slice is one page run.  The per-line
-        transitions are identical to one :meth:`acquire_page_run` call
-        per run (same no-FILL contract); ``get_s``/``get_m`` counter
-        totals are charged once at the end, which is total-equivalent
-        because nothing observes the directory between the runs of one
-        segment commit.  The all-INVALID single-holder case — the only
-        shape the coalesced engine submits, since it bails out of
-        deferral on any directory residue — is resolved closed-form;
-        residue falls through to the generic per-line transition.
-        Returns the number of other-agent invalidations.
-        """
-        entries = self._entries
-        ent_get = entries.get
-        inv = LineState.INVALID
-        st_m = LineState.MODIFIED
-        st_read = (LineState.EXCLUSIVE if self.protocol.has_exclusive
-                   else LineState.SHARED)
-        read_owner = agent_id if st_read is LineState.EXCLUSIVE else None
-        make_entry = DirectoryEntry
-        n_s = n_m = 0
-        invalidations = 0
-        for line, is_write in zip(lines, writes):
-            entry = ent_get(line)
-            if entry is not None and entry.state is not inv:
-                _, k = self._acquire_line(line, is_write, agent_id)
-                invalidations += k
-                continue
-            if is_write:
-                n_m += 1
-                if entry is None:
-                    entries[line] = make_entry(st_m, agent_id, {agent_id})
-                else:
-                    entry.state = st_m
-                    entry.owner = agent_id
-                    entry.sharers.add(agent_id)
-            else:
-                n_s += 1
-                if entry is None:
-                    entries[line] = make_entry(st_read, read_owner,
-                                               {agent_id})
-                else:
-                    entry.state = st_read
-                    entry.owner = read_owner
-                    entry.sharers.add(agent_id)
-        if n_s:
-            self.counters.add("get_s", n_s)
-        if n_m:
-            self.counters.add("get_m", n_m)
-        return invalidations
-
-    def _acquire_line(self, line_addr: int, is_write: bool,
-                      agent_id: int) -> Tuple[LineState, int]:
-        """One line of a page-run acquisition (generic path).
-
-        State transitions, counters and invalidation fan-out mirror
-        :meth:`get_modified`/:meth:`get_shared`; the FILL/UPGRADE
-        emission is suppressed per the page-run contract.
-        """
-        entry = self._entry(line_addr)
-        if is_write:
-            self.counters.add("get_m")
-            holders = set(entry.sharers)
-            if entry.owner is not None:
-                holders.add(entry.owner)
-            inval = 0
-            for other in sorted(holders - {agent_id}):
-                self._invalidate_agent(other, line_addr)
-                inval += 1
-            entry.state = LineState.MODIFIED
-            entry.owner = agent_id
-            entry.sharers = {agent_id}
-            entry.check_invariants()
-            return LineState.MODIFIED, inval
-        self.counters.add("get_s")
-        if entry.state in (LineState.MODIFIED, LineState.EXCLUSIVE):
-            self._share_dirty_owner(line_addr, entry)
-        if entry.state is LineState.INVALID:
-            if self.protocol.has_exclusive:
-                entry.state = LineState.EXCLUSIVE
-                entry.owner = agent_id
-                entry.sharers = {agent_id}
-                granted = LineState.EXCLUSIVE
-            else:
-                entry.state = LineState.SHARED
-                entry.owner = None
-                entry.sharers = {agent_id}
-                granted = LineState.SHARED
-        elif entry.state is LineState.OWNED:
-            entry.sharers.add(agent_id)
-            granted = LineState.SHARED
-        else:
-            entry.state = LineState.SHARED
-            entry.owner = None
-            entry.sharers.add(agent_id)
-            granted = LineState.SHARED
-        entry.check_invariants()
-        return granted, 0
 
     # -- internals -----------------------------------------------------------------
 
@@ -550,11 +447,10 @@ class Directory:
     # -- inspection ------------------------------------------------------------------
 
     def state_of(self, line_addr: int) -> LineState:
-        """Current directory state for a line (INVALID if never seen)."""
-        entry = self._entries.get(line_addr)
-        return entry.state if entry is not None else LineState.INVALID
+        """Current directory state for a line (INVALID if untracked)."""
+        return STATE_OF[self._entries.get(line_addr, 0) & STATE_MASK]
 
     def modified_lines(self) -> List[int]:
         """Lines currently held dirty somewhere (sorted)."""
-        return sorted(addr for addr, e in self._entries.items()
-                      if e.state.dirty)
+        return sorted(addr for addr, code in self._entries.items()
+                      if code & STATE_MASK >= _OWNED_CODE)

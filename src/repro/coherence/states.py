@@ -43,6 +43,13 @@ class LineState(Enum):
         return self in (LineState.OWNED, LineState.MODIFIED)
 
 
+#: Small-int state codes, in declaration order (INVALID is 0).  The
+#: vectorized cache's state array and the directory's packed line
+#: entries both store them.
+STATE_OF = tuple(LineState)
+CODE_OF = {state: code for code, state in enumerate(STATE_OF)}
+
+
 class Protocol(Enum):
     """Invalidation-based protocol families the substrate supports.
 

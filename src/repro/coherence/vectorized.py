@@ -40,19 +40,15 @@ from ..common.stats import Counter
 from ..coherence.agent import CoherentCache, DirectoryResolver
 from ..coherence.directory import Directory
 from ..mem.address import is_power_of_two
+from .states import CODE_OF as _CODE_OF
+from .states import STATE_OF as _STATE_OF
 from .states import LineState, Protocol
 
 #: Empty-slot sentinel in the tag array (real tags are non-negative).
 _EMPTY = -1
 
-#: Small-int codes for the state array.
+#: Small-int codes for the state array (``states.CODE_OF``).
 INVALID, SHARED, EXCLUSIVE, OWNED, MODIFIED = range(5)
-
-_CODE_OF = {LineState.INVALID: INVALID, LineState.SHARED: SHARED,
-            LineState.EXCLUSIVE: EXCLUSIVE, LineState.OWNED: OWNED,
-            LineState.MODIFIED: MODIFIED}
-_STATE_OF = [LineState.INVALID, LineState.SHARED, LineState.EXCLUSIVE,
-             LineState.OWNED, LineState.MODIFIED]
 
 #: Lookup tables indexed by state code.
 _WRITABLE = np.array([False, False, True, False, True])

@@ -253,8 +253,8 @@ RUNTIME_EXTRA_CASES = (
 #: baseline case except the 4M scale point.  The ``page-rank-miss``
 #: entry is the miss-heavy canonical case at full size (150k accesses,
 #: seed 7, 8 MB FMem): ~99.6% of its accesses miss the front cache, so
-#: it exercises the coalesced miss-replay engine end to end and pins
-#: its speedup over the scalar oracle in every CI run.
+#: it exercises the fused miss lane and the packed directory end to
+#: end and pins its speedup over the scalar oracle in every CI run.
 RUNTIME_QUICK_CASES = (
     RuntimeBenchCase("hot-mix", 150_000),
     RuntimeBenchCase("page-rank", 60_000, fmem_mb=8),
@@ -594,12 +594,12 @@ def load_history(path: str = HISTORY_FILENAME,
 
 
 #: Per-case speedup floors for the miss-heavy workload-model cases.
-#: These ride the coalesced miss-replay path, which must beat the
+#: These ride the fused miss lane, which must beat the
 #: scalar oracle outright — not merely avoid losing to it — so their
 #: floors sit above the generic ``min_case_speedup`` of 1.0x.  The
 #: values are deliberately well under the measured speedups (~2x on
 #: the reference host) to absorb CI-runner noise while still catching
-#: a real coalescing regression, which shows up as a collapse toward
+#: a real miss-lane regression, which shows up as a collapse toward
 #: parity with the scalar engine.
 RUNTIME_CASE_FLOORS: Dict[str, float] = {
     "page-rank": 1.3,
@@ -619,7 +619,7 @@ def check_speedup(payload: Dict[str, object], min_speedup: float,
 
     ``case_floors`` maps case labels to per-case floors that override
     ``min_case_speedup`` (it defaults to :data:`RUNTIME_CASE_FLOORS`,
-    which raises the bar for the miss-heavy coalesced-replay cases).
+    which raises the bar for the miss-heavy miss-lane cases).
 
     Returns a list of failure messages (empty when the gate passes).
     """

@@ -89,15 +89,8 @@ class KonaConfig:
     #: Re-enter vectorized mode only after a scalar chunk ran at at
     #: least this CPU-cache hit fraction.  The gap against
     #: ``batch_escape_density`` is the oscillation hysteresis (every
-    #: switch re-imports or re-exports the cache); the same fraction
-    #: also re-opens segment classification after a coalesced
-    #: all-miss stretch.
+    #: switch re-imports or re-exports the cache).
     batch_reenter_hits: float = 0.875
-    #: Grant replayed misses through one directory transaction per
-    #: page run (``engine="batched"`` honors this; the explicit
-    #: ``engine="coalesced"`` forces it on).  Results are
-    #: bit-identical either way — this is purely a speed knob.
-    coalesced_replay: bool = True
 
     # Resource management
     slab_batch: int = 4                     # slabs pre-allocated per request

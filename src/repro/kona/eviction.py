@@ -48,6 +48,10 @@ from ..obs.trace import Tracer, traced
 from .config import KonaConfig
 
 
+#: One bit per line of a 4 KiB page (the log record granularity).
+_PAGE_LINES_MASK = (1 << units.LINES_PER_PAGE) - 1
+
+
 def _mask_segments(mask: int):
     """Contiguous dirty runs in a 64-bit line mask: (start, length).
 
@@ -240,8 +244,7 @@ class EvictionHandler:
         if not live:
             # Every copy target is down: park the page as line records
             # addressed to the primary so recovery can redeliver it.
-            full_mask = (1 << units.LINES_PER_PAGE) - 1
-            records = self._records_for(vfmem_page_addr, full_mask,
+            records = self._records_for(vfmem_page_addr, _PAGE_LINES_MASK,
                                         locations[0])
             self.counters.add("lines_enqueued", len(records))
             return copy + self._park_records(locations[0].node, records)
@@ -260,8 +263,8 @@ class EvictionHandler:
             # A whole-page write lands every written line's current
             # content on each live copy; the store fences versions, so
             # applying the same page twice is harmless.
-            full_mask = (1 << units.LINES_PER_PAGE) - 1
-            records = self._records_for(vfmem_page_addr, full_mask, live[0])
+            records = self._records_for(vfmem_page_addr, _PAGE_LINES_MASK,
+                                        live[0])
             for location in live:
                 store = self.controller.node(location.node).store
                 for record in records:
@@ -452,9 +455,14 @@ class EvictionHandler:
         the receiving store can fence stale redeliveries and the
         durability ledger can match acknowledgments to writes.
         """
-        offsets = [i * units.CACHE_LINE
-                   for i in range(units.LINES_PER_PAGE)
-                   if dirty_mask & (1 << i)]
+        # Walk the set bits lowest first (ascending offsets), not all
+        # 64 positions: most masks are sparse.
+        offsets = []
+        mask = dirty_mask & _PAGE_LINES_MASK
+        while mask:
+            low = mask & -mask
+            offsets.append((low.bit_length() - 1) * units.CACHE_LINE)
+            mask ^= low
         if self.content is None:
             records, _ = pack_dirty_lines(
                 [location.remote_addr + off for off in offsets])

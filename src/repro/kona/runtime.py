@@ -558,11 +558,7 @@ class KonaRuntime:
         ``engine="batched"`` (default) bulk-resolves pure CPU-cache
         hits through the vectorized front-end and replays everything
         else through the scalar back-end (see :mod:`repro.kona.engine`);
-        ``engine="coalesced"`` additionally grants replayed misses
-        through one directory transaction per page run (the batched
-        engine already does this when ``KonaConfig.coalesced_replay``
-        is set — the explicit name forces it on);
-        ``engine="scalar"`` is the one-access-at-a-time oracle.  All
+        ``engine="scalar"`` is the one-access-at-a-time oracle.  Both
         produce bit-identical reports, counters and component state.
 
         ``base`` adds a constant offset to every address as it is
@@ -587,7 +583,7 @@ class KonaRuntime:
         stall-accumulation chain threads through all chunks (see the
         ordering contract in ``docs/architecture.md``).
 
-        The batched engines hold the CPU-cache state from the first
+        The batched engine holds the CPU-cache state from the first
         chunk to the end of the stream, so the chunk iterator must not
         use the data path: ``access``/``read``/``write``/``flush`` and
         a nested ``run_trace`` raise :class:`SimulationError` there.
@@ -595,9 +591,9 @@ class KonaRuntime:
         health calls (``fabric.fail_node``, ``recover``) are fine.  A
         causal capture or gauge sampler is bound when the stream starts.
         """
-        if engine not in ("batched", "coalesced", "scalar"):
+        if engine not in ("batched", "scalar"):
             raise ConfigError(f"unknown run_trace engine {engine!r}; "
-                              "choose 'batched', 'coalesced' or 'scalar'")
+                              "choose 'batched' or 'scalar'")
         if self._cache_stale:
             raise SimulationError(_CACHE_HELD)
         if engine != "scalar" and self.content is not None:
@@ -631,9 +627,7 @@ class KonaRuntime:
                 stall = self._run_trace_scalar(addrs, writes, stall,
                                                base=base)
         else:
-            stall = run_trace_batched(self, validated(), base=base,
-                                      coalesced=engine == "coalesced"
-                                      or None)
+            stall = run_trace_batched(self, validated(), base=base)
         app = self.app_ns_per_access * total
         self.account.charge("app_compute", app)
         return ExecutionReport(

@@ -477,72 +477,6 @@ class CausalCapture:
         if self._i == self._capacity:
             self._drain()
 
-    def record_block(self, rows: List[tuple]) -> None:
-        """Store a batch of fault records (the coalesced engine's sink).
-
-        ``rows`` holds ``(seq, line, node, kind, dir_ns, fab_ns,
-        mem_ns)`` tuples in ``seq`` order.  Equivalent to one
-        :meth:`record` call per row — the staging columns fill by
-        slice assignment and :meth:`_drain` fires at the exact same
-        capacity crossings, so the reservoir sampler consumes an
-        identical RNG stream.  The equivalence requires that no
-        capture state (health, chaos flags, the pending replication
-        outcome) mutated between the deferred calls; the engine
-        guarantees that by deferring only within one replay segment
-        on a healthy rack (state flips land on maintenance ticks, and
-        generic detours flush the block first).  Any pending
-        replication outcome is folded into the first row, exactly
-        where the sequential path would consume it.
-        """
-        m = len(rows)
-        if not m:
-            return
-        seqs, lines, nodes, kinds, dirs, fabs, mems = zip(*rows)
-        codes = self._node_codes
-        names = self._node_names
-        ncol = []
-        for nd in nodes:
-            if nd is None:
-                ncol.append(_LOCAL)
-            else:
-                code = codes.get(nd)
-                if code is None:
-                    code = len(names)
-                    codes[nd] = code
-                    names.append(nd)
-                ncol.append(code)
-        flags = FLAG_FABRIC_DOWN if self._fabric_down else 0
-        first_flags = flags
-        repl0 = self._repl_ns
-        if repl0 or self._used_replica:
-            self._repl_ns = 0.0
-            if self._used_replica:
-                first_flags |= FLAG_REPLICA_READ
-                self._used_replica = False
-        pos = 0
-        while pos < m:
-            i = self._i
-            k = min(self._capacity - i, m - pos)
-            end = pos + k
-            j = i + k
-            self._c_seq[i:j] = seqs[pos:end]
-            self._c_line[i:j] = lines[pos:end]
-            self._c_node[i:j] = ncol[pos:end]
-            self._c_kind[i:j] = kinds[pos:end]
-            self._c_health[i:j] = self._health
-            self._c_flags[i:j] = flags
-            self._c_dir[i:j] = dirs[pos:end]
-            self._c_fab[i:j] = fabs[pos:end]
-            self._c_mem[i:j] = mems[pos:end]
-            self._c_repl[i:j] = 0.0
-            if pos == 0:
-                self._c_flags[i] = first_flags
-                self._c_repl[i] = repl0
-            pos = end
-            self._i = j
-            if j == self._capacity:
-                self._drain()
-
     # -- vectorized drain ---------------------------------------------------------
 
     def _drain(self) -> None:
