@@ -247,11 +247,11 @@ class _FusedLane:
         # tags the lane filled while the page was FMem-resident, or
         # None for pages whose fill set is unknown (resident before
         # the lane existed, or touched by a generic detour).  A page
-        # drain walks its (short) set through the live tag map
-        # instead of stripe-scanning the whole tag array; unknown
-        # pages keep the stripe scan.  Sets may carry stale tags
-        # (victim evictions don't consult this index) — the tag-map
-        # probe filters them — but never more than one page's lines,
+        # drain probes its (short) set in the way index instead of
+        # scanning the page's whole window of it; unknown pages keep
+        # the window scan.  Sets may carry stale tags (victim
+        # evictions don't consult this index) — the way-index probe
+        # filters them — but never more than one page's lines,
         # so the index stays bounded however long the stream runs.
         # Disabled entirely under a prefetcher, whose fills this
         # bookkeeping cannot see, and under MSI, whose SHARED lines
@@ -325,21 +325,23 @@ class _FusedLane:
             # Outside the single-agent proof (e.g. a mid-fill snoop
             # race left residue): take the generic path for this miss.
             return self._miss_generic(line, is_write, age)
+        ways = front.ways
         sidx = tag & front._set_mask
-        base = sidx * front.ways
-        tags_f = front._tags_f
-        state_f = front._state_f
-        age_f = front._age_f
+        base = sidx * ways
+        tags_b = front._tags_b
+        state_b = front._state_b
+        age_b = front._age_b
+        way_mv = front._way_mv
         self.d_front_misses += 1
         victim_tag: Optional[int] = None
-        if front._counts[sidx] >= front.ways:
-            flat = base + int(age_f[base:base + front.ways].argmin())
-            victim_tag = int(tags_f[flat])
-            victim_dirty = int(state_f[flat]) >= OWNED
-            tags_f[flat] = _EMPTY
-            state_f[flat] = INVALID
-            age_f[flat] = 0
-            del front._tag_map[victim_tag]
+        if front._counts[sidx] >= ways:
+            flat = base + int(front._age[base:base + ways].argmin())
+            victim_tag = tags_b[flat]
+            victim_dirty = state_b[flat] >= OWNED
+            tags_b[flat] = _EMPTY
+            state_b[flat] = INVALID
+            age_b[flat] = 0
+            way_mv[victim_tag - front._tag0] = 0
             self.d_front_evictions += 1
             victim_addr = victim_tag << _LINE_SHIFT
             vcode = entries.get(victim_addr)
@@ -359,8 +361,7 @@ class _FusedLane:
             else:
                 self.directory.put_clean(victim_addr, self.aid)
         else:
-            flat = base + int(
-                (state_f[base:base + front.ways] == INVALID).argmax())
+            flat = state_b.find(INVALID, base, base + ways)
             front._counts[sidx] += 1
         # Directory Get: the line is absent (INVALID), so the grant is
         # closed form.  The transition lands before the fill is served,
@@ -378,10 +379,10 @@ class _FusedLane:
         self.agent._last_access_ns = cost
         # Insert only after the fill completed, mirroring miss_fill:
         # a snoop landing mid-fill finds the line absent.
-        tags_f[flat] = tag
-        state_f[flat] = code
-        age_f[flat] = age
-        front._tag_map[tag] = flat
+        tags_b[flat] = tag
+        state_b[flat] = code
+        age_b[flat] = age
+        way_mv[tag - front._tag0] = flat - base + 1
         return victim_tag, code, flat, cost
 
     def _miss_generic(self, line: int, is_write: bool, age: int
@@ -390,7 +391,7 @@ class _FusedLane:
         self.last_page = -1   # the generic fill moves FMem under us
         if self.pageres is not None:
             # The generic fill lands a front line this bookkeeping
-            # cannot see; stripe-scan the page on its next drain.
+            # cannot see; scan the page's window on its next drain.
             self.pageres[line // self.page_size] = None
         victim_tag, code, flat = self.front.miss_fill(line, is_write, age)
         return victim_tag, code, flat, self.agent._last_access_ns
@@ -414,9 +415,9 @@ class _FusedLane:
         self.d_upgrades_seen += 1
         self.agent._last_access_ns = self.coh_ns
         front = self.front
-        flat = front._tag_map[tag]
-        front._state_f[flat] = MODIFIED
-        front._age_f[flat] = age
+        flat = front.slot_of(tag)
+        front._state_b[flat] = MODIFIED
+        front._age_b[flat] = age
         self.d_front_upgrades += 1
 
     def _serve_fill(self, line: int) -> float:
@@ -501,11 +502,12 @@ class _FusedLane:
         so a mid-loop ``NodeFailure`` leaves totals scalar-exact).
         """
         front = self.front
-        tag_map = front._tag_map
-        tm_get = tag_map.get
-        tags_f = front._tags_f
-        state_f = front._state_f
-        age_f = front._age_f
+        way_mv = front._way_mv
+        tag0 = front._tag0
+        tags_b = front._tags_b
+        state_b = front._state_b
+        age_v = front._age
+        age_b = front._age_b
         counts = front._counts
         ways = front.ways
         set_mask = front._set_mask
@@ -578,12 +580,15 @@ class _FusedLane:
         try:
             for tag, isw in zip(seg_tags.tolist(), seg_w.tolist()):
                 age += 1
-                flat = tm_get(tag, -1)
-                if flat >= 0:
-                    if not isw or _WRITABLE_PY[state_f[flat]]:
+                sidx = tag & set_mask
+                base = sidx * ways
+                way = way_mv[tag - tag0]
+                if way:
+                    flat = base + way - 1
+                    if not isw or _WRITABLE_PY[state_b[flat]]:
                         if isw:
-                            state_f[flat] = MODIFIED
-                        age_f[flat] = age
+                            state_b[flat] = MODIFIED
+                        age_b[flat] = age
                         hits += 1
                         continue
                     if cap is not None:
@@ -600,17 +605,15 @@ class _FusedLane:
                     stall_b["memory_stall"] += cost
                     misses += 1
                     continue
-                sidx = tag & set_mask
-                base = sidx * ways
                 l_front_misses += 1
                 if counts[sidx] >= ways:
-                    flat = base + int(age_f[base:base + ways].argmin())
-                    victim_tag = int(tags_f[flat])
-                    victim_dirty = int(state_f[flat]) >= OWNED
-                    tags_f[flat] = _EMPTY
-                    state_f[flat] = INVALID
-                    age_f[flat] = 0
-                    del tag_map[victim_tag]
+                    flat = base + int(age_v[base:base + ways].argmin())
+                    victim_tag = tags_b[flat]
+                    victim_dirty = state_b[flat] >= OWNED
+                    tags_b[flat] = _EMPTY
+                    state_b[flat] = INVALID
+                    age_b[flat] = 0
+                    way_mv[victim_tag - tag0] = 0
                     l_front_evictions += 1
                     victim_addr = victim_tag << _LINE_SHIFT
                     vcode = ent_get(victim_addr)
@@ -628,10 +631,8 @@ class _FusedLane:
                     else:
                         self.directory.put_clean(victim_addr, aid)
                 else:
-                    # Free-way pick: states are uint8 and INVALID == 0,
-                    # so memchr (bytes.find) locates the first empty way
-                    # without materializing a Python list.
-                    flat = base + state_f[base:base + ways].tobytes().find(0)
+                    # Free-way pick: memchr over the state bytes.
+                    flat = state_b.find(INVALID, base, base + ways)
                     counts[sidx] += 1
                 if isw:
                     l_get_m += 1
@@ -729,10 +730,10 @@ class _FusedLane:
                     prefetch(line)
                     last_page = -1   # prefetch fills may reorder the LRU
                 agent._last_access_ns = cost
-                tags_f[flat] = tag
-                state_f[flat] = code
-                age_f[flat] = age
-                tag_map[tag] = flat
+                tags_b[flat] = tag
+                state_b[flat] = code
+                age_b[flat] = age
+                way_mv[tag - tag0] = flat - base + 1
                 stall += cost
                 stall_b["memory_stall"] += cost
                 misses += 1
@@ -767,81 +768,63 @@ class _FusedLane:
         """Fused ``MemoryAgent._evict_page`` for an FMem victim page.
 
         The scalar drain (``Directory.snoop_page``) probes all 64 line
-        entries one dict lookup at a time; here one gather against the
-        front-end's tag array finds the resident lines of the page in
-        a single vector compare.  Correctness leans on the single-agent
-        invariant the lane already proves: a line is resident in the
-        front cache *iff* the directory holds it — the one exception,
-        the line currently mid-fill, lives on the page being filled,
-        which is never the victim page.  SHARED copies are clean and
-        survive the snoop (same as the scalar path); E/M/O copies are
-        invalidated and their lines deleted from the directory, dirty
-        ones marking the bitmap before ``clear_page`` consumes the
-        page's mask.
+        entries one dict lookup at a time; here the page's lines are
+        one contiguous window of the front-end's way index, whose
+        non-zero entries are exactly its resident lines.  Correctness
+        leans on the single-agent invariant the lane already proves: a
+        line is resident in the front cache *iff* the directory holds
+        it — the one exception, the line currently mid-fill, lives on
+        the page being filled, which is never the victim page.  SHARED
+        copies are clean and survive the snoop (same as the scalar
+        path); E/M/O copies are invalidated and their lines deleted
+        from the directory, dirty ones marking the bitmap before
+        ``clear_page`` consumes the page's mask.
         """
         front = self.front
         page_addr = victim_page * self.page_size
         n_lines = self.page_size >> _LINE_SHIFT
         tag0 = page_addr >> _LINE_SHIFT
         self.d_snoops += n_lines
-        tag_map = front._tag_map
-        tags_f = front._tags_f
-        state_f = front._state_f
-        age_f = front._age_f
+        way_mv = front._way_mv
+        home_tag0 = front._tag0
+        tags_b = front._tags_b
+        state_b = front._state_b
+        age_b = front._age_b
         counts = front._counts
         ways = front.ways
+        set_mask = front._set_mask
         muts = front._mutations if front.record_mutations else None
         entries = self.entries
         if victim_page == self.last_page:
             self.last_page = -1   # the memoed page is leaving FMem
         residents = (self.pageres.pop(victim_page, None)
                      if self.pageres is not None else None)
-        sidx0 = tag0 & front._set_mask
-        if residents is not None:
-            # Fast path: the lane recorded every fill it made while
-            # the page was resident, so probing those few tags against
-            # the live tag map replaces the whole-array stripe scan.
-            # Stale tags (victim-evicted since) probe to -1.  Drain
-            # effects are order-insensitive (set/total semantics), so
-            # set order vs. tag order is unobservable.
-            tm_get = tag_map.get
-            pairs = []
-            for t in residents:
-                f = tm_get(t, -1)
-                if f >= 0:
-                    pairs.append((f, t))
-        elif sidx0 + n_lines <= front.num_sets:
-            # Consecutive line tags land in consecutive sets, so the
-            # page's possible slots are one contiguous stripe of the
-            # tag array: a single vector compare finds every resident
-            # line (ascending slot order == ascending tag order, the
-            # same order the scalar snoop walks).
-            row0 = sidx0 * ways
-            stripe = tags_f[row0:row0 + n_lines * ways]
-            cand = ((stripe >> self.tag_page_shift)
-                    == victim_page).nonzero()[0]
-            # Line j of the page lives in stripe row j (consecutive
-            # tags, consecutive sets), so the resident tag falls out of
-            # the stripe offset — no read-back from the tag array.
-            pairs = [(row0 + off, tag0 + off // ways)
-                     for off in cand.tolist()]
-        else:
-            # The stripe wraps the set array (rare): probe the map.
-            get = tag_map.get
-            pairs = [(f, t) for f, t in
-                     ((get(t, -1), t)
-                      for t in range(tag0, tag0 + n_lines)) if f >= 0]
+        if residents is None:
+            # No fill record for the page: scan its window of the way
+            # index (ascending tag order, the order the scalar snoop
+            # walks).
+            i0 = tag0 - home_tag0
+            residents = (front._way[i0:i0 + n_lines].nonzero()[0]
+                         + tag0).tolist()
+        # A fill record may hold stale tags (victim-evicted since);
+        # they read way 0.  Drain effects are order-insensitive
+        # (set/total semantics), so set order vs. tag order is
+        # unobservable.
         snooped = False
         n_inval = 0
         marks = self.marks
-        for flat, t in pairs:
-            state = state_f[flat]
+        for t in residents:
+            way = way_mv[t - home_tag0]
+            if not way:
+                continue
+            flat = (t & set_mask) * ways + way - 1
+            state = state_b[flat]
             if state == SHARED:   # clean copies survive the snoop
                 continue
-            del tag_map[t]
-            tags_f[flat] = _EMPTY
-            state_f[flat] = INVALID
-            age_f[flat] = 0
+            way_mv[t - home_tag0] = 0
+            tags_b[flat] = _EMPTY
+            state_b[flat] = INVALID
+            age_b[flat] = 0
             counts[flat // ways] -= 1
             if muts is not None:
                 muts.append((INVALIDATED, t))
@@ -1047,7 +1030,8 @@ def run_trace_batched(rt: "KonaRuntime",
                     pos += n
                     continue
                 if front is None:
-                    front = VectorizedCoherentCache.from_scalar(rt.cpu_cache)
+                    front = VectorizedCoherentCache.from_scalar(
+                        rt.cpu_cache, rt.vfmem)
                     front.attach(rt.agent.directory)
                     front.record_mutations = True
                     rt._cache_stale = True
@@ -1128,7 +1112,7 @@ def _run_span(rt: "KonaRuntime", front: VectorizedCoherentCache,
         # span instead of reclassifying every 256-access segment.
         # Only worth it when boundary events are rare (the patches
         # scan the remaining span), hence the 31/32 purity gate.
-        pure, resident, flat = front.classify(tags, w)
+        pure, flat = front.classify(tags, w)
         hot = 32 * int(pure.sum()) >= 31 * m
         if hot:
             ages = np.arange(front._clock + 1, front._clock + 1 + m,
@@ -1138,8 +1122,8 @@ def _run_span(rt: "KonaRuntime", front: VectorizedCoherentCache,
         cadence = g if g % _CADENCE == 0 else (g // _CADENCE + 1) * _CADENCE
         end = min(cadence - g_base + 1, m)
         if hot:
-            stall = _run_patch(rt, front, tags, w, pure, resident, flat,
-                               ages, local, end, stall, lane, seq0)
+            stall = _run_patch(rt, front, tags, w, pure, flat, ages,
+                               local, end, stall, lane, seq0)
         else:
             stall, seg_replayed = _run_segment(rt, front, tags[local:end],
                                                w[local:end],
@@ -1162,8 +1146,7 @@ def _run_span(rt: "KonaRuntime", front: VectorizedCoherentCache,
             if hot and end < m and front._mutations:
                 # Proactive eviction may have snooped lines out of the
                 # CPU cache; fold the journal into the live span masks.
-                _patch_mutations(front, tags[end:], w[end:], pure[end:],
-                                 resident[end:])
+                _patch_mutations(front, tags[end:], w[end:], pure[end:])
             else:
                 # Cold mode reclassifies the next segment; drop the log.
                 front._mutations.clear()
@@ -1183,25 +1166,25 @@ def _run_segment(rt: "KonaRuntime", front: VectorizedCoherentCache,
     Returns ``(stall, accesses handled by scalar replay)``.
     """
     length = int(seg_tags.size)
-    pure, resident, flat = front.classify(seg_tags, seg_w)
+    pure, flat = front.classify(seg_tags, seg_w)
     if int(pure.sum()) < length * miss_gate:
         # Miss-heavy segment: the run/patch machinery would pay its
         # numpy overhead on nearly every access for no bulk win, so
         # replay the segment access-by-access against the front-end's
-        # tag map — same events, same order, same counters.
+        # way index — same events, same order, same counters.
         if lane is not None:
             return lane.replay(seg_tags, seg_w, age0, stall,
                                seq0), length
         return _replay_segment(rt, front, seg_tags, seg_w, age0,
                                stall, seq0), length
     ages = np.arange(age0, age0 + length, dtype=np.int64)
-    return _run_patch(rt, front, seg_tags, seg_w, pure, resident, flat,
-                      ages, 0, length, stall, lane, seq0), 0
+    return _run_patch(rt, front, seg_tags, seg_w, pure, flat, ages, 0,
+                      length, stall, lane, seq0), 0
 
 
 def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
                tags: np.ndarray, w: np.ndarray, pure: np.ndarray,
-               resident: np.ndarray, flat: np.ndarray, ages: np.ndarray,
+               flat: np.ndarray, ages: np.ndarray,
                start: int, end: int, stall: float,
                lane: Optional[_FusedLane], seq0: int = 0) -> float:
     """Run/patch ``[start, end)`` of a classified window.
@@ -1221,9 +1204,9 @@ def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
     account = rt.account
     tracer = rt.obs.tracer
     hist = rt._stall_hist
-    tm_get = front._tag_map.get
-    state_f = front._state_f
-    age_f = front._age_f
+    slot_of = front.slot_of
+    state_b = front._state_b
+    age_b = front._age_b
     cap = rt._capture
     inline_hits = 0
     p = start
@@ -1249,13 +1232,13 @@ def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
         tag = int(tags[p])
         age = int(ages[p])
         isw = bool(w[p])
-        fslot = tm_get(tag, -1)
-        if fslot >= 0 and (not isw or _WRITABLE_PY[state_f[fslot]]):
+        fslot = slot_of(tag)
+        if fslot >= 0 and (not isw or _WRITABLE_PY[state_b[fslot]]):
             # A pure hit after all (an earlier event re-filled or
             # upgraded the line): apply it like a bulk_hits singleton.
             if isw:
-                state_f[fslot] = MODIFIED
-            age_f[fslot] = age
+                state_b[fslot] = MODIFIED
+            age_b[fslot] = age
             inline_hits += 1
         elif fslot >= 0:
             # Resident but not writable on a write: upgrade (S/O -> M).
@@ -1269,7 +1252,7 @@ def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
                 counters.add("cache_hits")
             if front._mutations:
                 _patch_mutations(front, tags[p + 1:], w[p + 1:],
-                                 pure[p + 1:], resident[p + 1:])
+                                 pure[p + 1:])
         else:
             if cap is not None:
                 cap.seq = seq0 + p
@@ -1294,10 +1277,9 @@ def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
                 sel = tags[p + 1:] == victim_tag
                 if sel.any():
                     pure[p + 1:][sel] = False
-                    resident[p + 1:][sel] = False
             if front._mutations:
                 _patch_mutations(front, tags[p + 1:], w[p + 1:],
-                                 pure[p + 1:], resident[p + 1:])
+                                 pure[p + 1:])
         p += 1
     if inline_hits:
         front.counters.add("hits", inline_hits)
@@ -1326,9 +1308,9 @@ def _replay_segment(rt: "KonaRuntime", front: VectorizedCoherentCache,
     account = rt.account
     tracer = rt.obs.tracer
     hist = rt._stall_hist
-    tag_map = front._tag_map
-    state_f = front._state_f
-    age_f = front._age_f
+    slot_of = front.slot_of
+    state_b = front._state_b
+    age_b = front._age_b
     cap = rt._capture
     seq_off = seq0 - age0
     hits = 0
@@ -1336,12 +1318,12 @@ def _replay_segment(rt: "KonaRuntime", front: VectorizedCoherentCache,
     age = age0 - 1
     for tag, isw in zip(seg_tags.tolist(), seg_w.tolist()):
         age += 1
-        flat = tag_map.get(tag, -1)
+        flat = slot_of(tag)
         if flat >= 0:
-            if not isw or _WRITABLE_PY[state_f[flat]]:
+            if not isw or _WRITABLE_PY[state_b[flat]]:
                 if isw:
-                    state_f[flat] = MODIFIED
-                age_f[flat] = age
+                    state_b[flat] = MODIFIED
+                age_b[flat] = age
                 hits += 1
                 continue
             if cap is not None:
@@ -1370,8 +1352,7 @@ def _replay_segment(rt: "KonaRuntime", front: VectorizedCoherentCache,
 
 
 def _patch_mutations(front: VectorizedCoherentCache, rem_tags: np.ndarray,
-                     rem_w: np.ndarray, pure_rem: np.ndarray,
-                     res_rem: np.ndarray) -> None:
+                     rem_w: np.ndarray, pure_rem: np.ndarray) -> None:
     """Fold directory-initiated mutations into the remaining masks."""
     for kind, mtag in front.take_mutations():
         sel = rem_tags == mtag
@@ -1379,7 +1360,6 @@ def _patch_mutations(front: VectorizedCoherentCache, rem_tags: np.ndarray,
             continue
         if kind == INVALIDATED:
             pure_rem[sel] = False
-            res_rem[sel] = False
         else:
             assert kind == DOWNGRADED
             # Still resident, no longer writable.

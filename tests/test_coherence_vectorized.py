@@ -12,7 +12,7 @@ import repro.common.units as u
 from repro.coherence.agent import CoherentCache
 from repro.coherence.directory import Directory
 from repro.coherence.states import LineState, Protocol
-from repro.coherence.vectorized import VectorizedCoherentCache
+from repro.coherence.vectorized import _WRITABLE, VectorizedCoherentCache
 from repro.common.errors import CoherenceError
 from repro.mem.address import AddressRange
 
@@ -46,7 +46,7 @@ class TestRoundtrip:
         _, cache = make_pair()
         drive(cache, np.random.default_rng(0), 3000)
         before = set_contents(cache)
-        vec = VectorizedCoherentCache.from_scalar(cache)
+        vec = VectorizedCoherentCache.from_scalar(cache, HOME)
         vec.export_to(cache)
         assert set_contents(cache) == before
         assert vec.occupancy == sum(len(s) for s in cache._sets)
@@ -59,20 +59,20 @@ class TestRoundtrip:
         cache.access(0, False)
         cache.access(stride, False)
         cache.access(0, True)
-        vec = VectorizedCoherentCache.from_scalar(cache)
+        vec = VectorizedCoherentCache.from_scalar(cache, HOME)
         vec.export_to(cache)
         (keys,) = [list(s) for s in cache._sets if s]
         assert keys == [stride, 0]
 
     def test_empty_cache_roundtrip(self):
         _, cache = make_pair()
-        vec = VectorizedCoherentCache.from_scalar(cache)
+        vec = VectorizedCoherentCache.from_scalar(cache, HOME)
         vec.export_to(cache)
         assert all(not s for s in cache._sets)
 
     def test_geometry_mismatch_rejected(self):
         _, cache = make_pair()
-        vec = VectorizedCoherentCache.from_scalar(cache)
+        vec = VectorizedCoherentCache.from_scalar(cache, HOME)
         resolver = lambda addr: None  # noqa: E731
         other = CoherentCache(1, resolver, capacity=2 * CAPACITY, ways=WAYS)
         with pytest.raises(CoherenceError):
@@ -86,7 +86,7 @@ class TestScalarParity:
     def test_single_agent_random_stream(self, protocol):
         _, scalar = make_pair(protocol)
         dir2, twin = make_pair(protocol)
-        vec = VectorizedCoherentCache.from_scalar(twin)
+        vec = VectorizedCoherentCache.from_scalar(twin, HOME)
         vec.attach(dir2)
         rng_a, rng_b = (np.random.default_rng(7) for _ in range(2))
         for _ in range(4000):
@@ -114,7 +114,7 @@ class TestScalarParity:
                               protocol=protocol)
             b.attach(directory)
             if vectorize:
-                front = VectorizedCoherentCache.from_scalar(a)
+                front = VectorizedCoherentCache.from_scalar(a, HOME)
                 front.attach(directory)
             else:
                 front = a
@@ -139,7 +139,7 @@ class TestMutationLog:
         a.attach(directory)
         a.access(0, True)           # MODIFIED in agent 1
         a.access(u.CACHE_LINE, False)
-        front = VectorizedCoherentCache.from_scalar(a)
+        front = VectorizedCoherentCache.from_scalar(a, HOME)
         front.attach(directory)
         b = CoherentCache(2, resolver, capacity=CAPACITY, ways=WAYS)
         b.attach(directory)
@@ -159,10 +159,124 @@ class TestMutationLog:
                           protocol=Protocol.MOESI)
         a.attach(directory)
         a.access(0, True)
-        front = VectorizedCoherentCache.from_scalar(a)
+        front = VectorizedCoherentCache.from_scalar(a, HOME)
         front.attach(directory)
         b = CoherentCache(2, resolver, capacity=CAPACITY, ways=WAYS,
                           protocol=Protocol.MOESI)
         b.attach(directory)
         b.access(0, False)          # MOESI: owner demotes M -> O
         assert front.state_of(0) is LineState.OWNED
+
+
+def reference_classify(vec, tags, writes):
+    """The 16-way row compare ``classify`` used before the way index.
+
+    Gathers each access's whole set of tags and compares them; kept
+    here as the reference the one-byte index must agree with.
+    """
+    sidx = (tags & vec._set_mask).astype(np.intp)
+    hit_ways = vec._tags.reshape(-1, vec.ways)[sidx] == tags[:, None]
+    resident = hit_ways.any(axis=1)
+    flat = sidx * vec.ways + hit_ways.argmax(axis=1)
+    pure = resident & (~writes | _WRITABLE[vec._state[flat]])
+    return pure, resident, flat
+
+
+def check_index(vec):
+    """Each resident slot's index entry is its way + 1; no other is set."""
+    slots = np.flatnonzero(vec._tags != -1)
+    entries = vec._way[vec._tags[slots] - vec._tag0]
+    assert (entries == slots % vec.ways + 1).all()
+    assert np.count_nonzero(vec._way) == slots.size == vec.occupancy
+
+
+class TestWayIndex:
+    """The one-byte way index against the tag array it summarizes."""
+
+    # A home that does not start at 0, so every lookup subtracts tag0.
+    OFF_HOME = AddressRange(u.MB, 4 * u.MB)
+
+    @pytest.mark.parametrize("protocol",
+                             [Protocol.MSI, Protocol.MESI, Protocol.MOESI])
+    def test_index_and_classify_match_reference(self, protocol):
+        home = self.OFF_HOME
+        directory = Directory(home, protocol=protocol)
+        resolver = lambda addr: directory  # noqa: E731
+        a = CoherentCache(1, resolver, capacity=CAPACITY, ways=8,
+                          protocol=protocol)
+        a.attach(directory)
+        b = CoherentCache(2, resolver, capacity=CAPACITY, ways=8,
+                          protocol=protocol)
+        b.attach(directory)
+        rng = np.random.default_rng(list(Protocol).index(protocol))
+        lines = 1024
+
+        def step(agent):
+            addr = home.start + int(rng.integers(0, lines)) * u.CACHE_LINE
+            agent.access(addr, bool(rng.random() < 0.4))
+        for _ in range(500):        # warm state for the import
+            step(a)
+        front = VectorizedCoherentCache.from_scalar(a, home)
+        front.attach(directory)
+        check_index(front)
+        tag0 = home.start // u.CACHE_LINE
+        for i in range(3000):
+            # Agent b's traffic invalidates and downgrades front lines.
+            step(front if rng.random() < 0.6 else b)
+            check_index(front)
+            if i % 50 == 0:
+                tags = tag0 + rng.integers(0, lines, 256).astype(np.int64)
+                writes = rng.random(256) < 0.4
+                pure, flat = front.classify(tags, writes)
+                ref_pure, resident, ref_flat = reference_classify(
+                    front, tags, writes)
+                assert (pure == ref_pure).all()
+                assert (flat[resident] == ref_flat[resident]).all()
+
+    def test_snoop_during_upgrade_finds_line_absent(self):
+        directory = Directory(HOME, protocol=Protocol.MSI)
+        resolver = lambda addr: directory  # noqa: E731
+        a = CoherentCache(1, resolver, capacity=CAPACITY, ways=WAYS,
+                          protocol=Protocol.MSI)
+        a.attach(directory)
+        a.access(0, False)          # MSI read: SHARED, so a write upgrades
+        front = VectorizedCoherentCache.from_scalar(a, HOME)
+        front.attach(directory)
+        seen = []
+        real = directory.get_modified
+
+        def snooping(line_addr, agent_id):
+            seen.append((front.slot_of(0), front.state_of(0),
+                         front._handle_invalidation(line_addr)))
+            return real(line_addr, agent_id)
+        directory.get_modified = snooping
+        assert front.access(0, True)
+        assert seen == [(-1, LineState.INVALID, False)]
+        assert front.state_of(0) is LineState.MODIFIED
+        check_index(front)
+
+    def test_from_scalar_rejects_line_outside_home(self):
+        _, cache = make_pair()
+        cache.access(0, False)      # below OFF_HOME's start
+        with pytest.raises(CoherenceError):
+            VectorizedCoherentCache.from_scalar(cache, self.OFF_HOME)
+        cache.access(HOME.end - u.CACHE_LINE, False)   # past its end
+        with pytest.raises(CoherenceError):
+            VectorizedCoherentCache.from_scalar(
+                cache, AddressRange(0, HOME.size // 2))
+
+    def test_access_rejects_address_outside_home(self):
+        _, cache = make_pair()
+        front = VectorizedCoherentCache.from_scalar(cache, self.OFF_HOME)
+        for addr in (0, self.OFF_HOME.end):
+            with pytest.raises(CoherenceError):
+                front.access(addr, False)
+        assert front.occupancy == 0 and not front._way.any()
+
+    def test_ways_above_255_rejected(self):
+        resolver = lambda addr: None  # noqa: E731
+        VectorizedCoherentCache(1, resolver, HOME,
+                                capacity=255 * u.CACHE_LINE, ways=255)
+        with pytest.raises(CoherenceError):
+            VectorizedCoherentCache(1, resolver, HOME,
+                                    capacity=256 * u.CACHE_LINE, ways=256)

@@ -57,9 +57,9 @@ def _count_imports(monkeypatch):
     calls = []
     real = VectorizedCoherentCache.from_scalar.__func__
 
-    def counting(cls, cache):
+    def counting(cls, cache, home):
         calls.append(1)
-        return real(cls, cache)
+        return real(cls, cache, home)
     monkeypatch.setattr(VectorizedCoherentCache, "from_scalar",
                         classmethod(counting))
     return calls
