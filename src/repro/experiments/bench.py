@@ -238,7 +238,7 @@ class RuntimeBenchCase:
 RUNTIME_CANONICAL_CASE = RuntimeBenchCase("hot-mix", 1_000_000)
 
 #: Secondary coverage: real workload models at miss-heavy ratios (the
-#: adaptive engine's scalar-escape path) with an FMem small enough to
+#: batched engine's fused miss lane) with an FMem small enough to
 #: drive the eviction/writeback machinery, plus a 4M-access hot-mix
 #: scale point (4x the canonical) pinning throughput at trace lengths
 #: where per-run setup cost is fully amortized.

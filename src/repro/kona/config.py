@@ -73,25 +73,6 @@ class KonaConfig:
     #: tracking); MOESI defers writebacks through dirty sharing.
     protocol: str = "mesi"
 
-    # Batched-engine selection (see :mod:`repro.kona.engine`).  The
-    # engine adapts between three execution strategies — vectorized
-    # bulk hits, per-event replay and the dict-cache scalar loop — and
-    # these knobs tune the switchover points per workload.
-    #: A classified 256-access segment is replayed access-by-access
-    #: (instead of run/patch-resolved) when at least this fraction of
-    #: it misses the CPU cache, i.e. when its pure-hit fraction falls
-    #: below ``1 - miss_replay_density``.
-    miss_replay_density: float = 0.5
-    #: Without the fused miss lane (tracing, extra agents, content
-    #: shadow), leave vectorized mode when more than this fraction of
-    #: a chunk fell back to scalar replay.
-    batch_escape_density: float = 0.5
-    #: Re-enter vectorized mode only after a scalar chunk ran at at
-    #: least this CPU-cache hit fraction.  The gap against
-    #: ``batch_escape_density`` is the oscillation hysteresis (every
-    #: switch re-imports or re-exports the cache).
-    batch_reenter_hits: float = 0.875
-
     # Resource management
     slab_batch: int = 4                     # slabs pre-allocated per request
 
@@ -130,12 +111,6 @@ class KonaConfig:
             raise ConfigError("lease_ttl_ns must be positive")
         if self.rereplication_slots_per_tick < 1:
             raise ConfigError("rereplication_slots_per_tick must be >= 1")
-        if not 0.0 < self.miss_replay_density <= 1.0:
-            raise ConfigError("miss_replay_density must be in (0, 1]")
-        if not 0.0 < self.batch_escape_density <= 1.0:
-            raise ConfigError("batch_escape_density must be in (0, 1]")
-        if not 0.0 <= self.batch_reenter_hits <= 1.0:
-            raise ConfigError("batch_reenter_hits must be in [0, 1]")
         if self.protocol not in ("msi", "mesi", "moesi"):
             raise ConfigError(
                 f"unknown protocol {self.protocol!r}; "

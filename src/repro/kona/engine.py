@@ -27,7 +27,9 @@ every span at a cadence point, and the trace is consumed in bounded
 chunks (no whole-trace ``tolist`` materialization).
 
 The scalar loop remains in :meth:`KonaRuntime.run_trace` as the
-differential-test oracle (``engine="scalar"``).
+differential-test oracle (``engine="scalar"``), and it runs every
+stream on a runtime where the fused miss lane's proofs do not hold
+(:meth:`_FusedLane.eligible`).
 """
 
 from __future__ import annotations
@@ -49,21 +51,10 @@ from ..common.errors import AddressError
 if TYPE_CHECKING:
     from .runtime import KonaRuntime
 
-#: Trace chunk size; a multiple of the 256-access maintenance cadence.
-#: Also the granularity of engine-mode adaptation, so it is kept small
-#: enough that a cold trace stops paying vectorization overhead quickly.
+#: Trace slice size; a multiple of the 256-access maintenance cadence.
+#: It bounds the per-slice temporaries and is the window the hot-span
+#: gate classifies in one pass (see :func:`_run_span`).
 _CHUNK = 1 << 14
-
-# Mode hysteresis (defaults: leave vectorized mode when more than
-# half of a chunk fell back to scalar replay; come back only after a
-# scalar chunk ran at >= 7/8 CPU-cache hits) lives in ``KonaConfig``:
-# ``batch_escape_density`` / ``batch_reenter_hits``, with
-# ``miss_replay_density`` gating per-segment replay.  The gap keeps a
-# ~50%-hit trace from oscillating (every switch re-imports or
-# re-exports the cache).  Escape is only consulted when the fused miss
-# lane is unavailable — with the lane, replayed misses are cheaper
-# than the dict-cache loop, so the engine never escapes (see
-# :class:`_FusedLane`).
 
 #: The ``i & 0xFF == 0`` maintenance period of the scalar loop.
 _CADENCE = 256
@@ -74,12 +65,6 @@ _CADENCE = 256
 _SCAN_BLOCK = 1024
 
 _LINE_SHIFT = units.CACHE_LINE.bit_length() - 1
-
-#: Stand-in for a disabled per-page residency index (see
-#: ``_FusedLane.pageres``): its ``.get`` always misses, so the replay
-#: loops' residency sites need no extra flag test.  Never written.
-_NO_PAGERES: dict = {}
-
 
 
 class _FusedLane:
@@ -152,7 +137,7 @@ class _FusedLane:
         "failures", "read_base",
         "remote_read_ns", "prefetch", "eager", "aid", "coh_ns",
         "fmem_ns", "fmem_ns_exact", "fill_bg_ns", "has_remainder",
-        "snoop_ns", "last_page", "pageres",
+        "snoop_ns", "last_page",
         "code_m", "code_read", "front_read", "solo", "dirty_solo",
         "upgradable",
         "d_cache_hits", "d_cache_misses", "d_front_hits",
@@ -243,28 +228,6 @@ class _FusedLane:
         # under the lane's feet (generic detours, prefetch inserts) or
         # the memoed page itself is drained.
         self.last_page = -1
-        # Per-page front-residency index: page tag -> set of line
-        # tags the lane filled while the page was FMem-resident, or
-        # None for pages whose fill set is unknown (resident before
-        # the lane existed, or touched by a generic detour).  A page
-        # drain probes its (short) set in the way index instead of
-        # scanning the page's whole window of it; unknown pages keep
-        # the window scan.  Sets may carry stale tags (victim
-        # evictions don't consult this index) — the way-index probe
-        # filters them — but never more than one page's lines,
-        # so the index stays bounded however long the stream runs.
-        # Disabled entirely under a prefetcher, whose fills this
-        # bookkeeping cannot see, and under MSI, whose SHARED lines
-        # survive a drain and can be upgraded after the page's refill
-        # started a new set.
-        if self.prefetch is None and has_excl:
-            pageres: Optional[dict] = {}
-            for fm_lines in self.fm_lines:
-                for resident_page in fm_lines:
-                    pageres[resident_page] = None
-            self.pageres = pageres
-        else:
-            self.pageres = None
         self.marks: list = []
         self.d_cache_hits = 0
         self.d_cache_misses = 0
@@ -297,8 +260,10 @@ class _FusedLane:
     def eligible(rt: "KonaRuntime") -> bool:
         """True when the fused single-agent proofs hold for ``rt``.
 
-        Tracing runs use the generic replay path (span/histogram hooks
-        fire per event there); extra observers or caching agents mean
+        ``run_trace_stream`` asks once per stream and runs the whole
+        stream on the scalar oracle when this is False: a content
+        shadow versions every write, tracing fires span and histogram
+        hooks per access, and extra observers or caching agents mean
         directory transitions are no longer closed-form.
         """
         directory = rt.agent.directory
@@ -389,10 +354,6 @@ class _FusedLane:
                       ) -> Tuple[Optional[int], int, int, float]:
         self.flush()
         self.last_page = -1   # the generic fill moves FMem under us
-        if self.pageres is not None:
-            # The generic fill lands a front line this bookkeeping
-            # cannot see; scan the page's window on its next drain.
-            self.pageres[line // self.page_size] = None
         victim_tag, code, flat = self.front.miss_fill(line, is_write, age)
         return victim_tag, code, flat, self.agent._last_access_ns
 
@@ -427,10 +388,6 @@ class _FusedLane:
         fm_lines = self.fm_lines[fm_sidx]
         if page_tag in fm_lines:
             self.d_stat_hits += 1
-            if self.pageres is not None:
-                residents = self.pageres.get(page_tag)
-                if residents is not None:
-                    residents.add(line >> _LINE_SHIFT)
             if page_tag != self.last_page:
                 self.fm_policies[fm_sidx].touch(page_tag)
                 self.last_page = page_tag
@@ -469,8 +426,6 @@ class _FusedLane:
             self.fm_cache._occupied += 1
         fm_lines[page_tag] = False
         policy.insert(page_tag)
-        if self.pageres is not None:
-            self.pageres[page_tag] = {line >> _LINE_SHIFT}
         if victim_page is not None:
             self.drain_page(victim_page)
         read_ns = self.remote_read_ns(location.node, units.CACHE_LINE)
@@ -554,10 +509,6 @@ class _FusedLane:
         fast_net = not self.extra_delays
         read_base = self.read_base
         cap = self.cap
-        pageres = self.pageres
-        # With no pageres index, an empty dict's .get makes the hit
-        # branches' residency adds vanish without a per-miss flag.
-        pr_get = pageres.get if pageres is not None else _NO_PAGERES.get
         # Global access ordinal of the access aged ``age``: faults are
         # keyed by sequence number so streamed/sharded captures line up.
         seq_off = seq0 - age0
@@ -648,9 +599,6 @@ class _FusedLane:
                     # Page is its set's MRU (we made it so on the last
                     # fill and nothing evicted it since): the resident
                     # probe and the LRU touch are both no-op-equivalent.
-                    residents = pr_get(page_tag)
-                    if residents is not None:
-                        residents.add(tag)
                     l_stat_hits += 1
                     l_fm_hits += 1
                     l_fmem_hits += 1
@@ -663,9 +611,6 @@ class _FusedLane:
                         cap.record(seq_off + age, line, None, 0,
                                    0.0, 0.0, cost)
                 elif page_tag in fm_all[fm_sidx := page_tag & fm_set_mask]:
-                    residents = pr_get(page_tag)
-                    if residents is not None:
-                        residents.add(tag)
                     l_stat_hits += 1
                     if fm_lru:
                         order = fm_policies[fm_sidx]._order
@@ -710,8 +655,6 @@ class _FusedLane:
                         fm_cache._occupied += 1
                     fm_lines[page_tag] = False
                     policy.insert(page_tag)
-                    if pageres is not None:
-                        pageres[page_tag] = {tag}
                     if victim_page is not None:
                         self.drain_page(victim_page)
                     read_ns = (read_base if fast_net
@@ -786,7 +729,6 @@ class _FusedLane:
         tag0 = page_addr >> _LINE_SHIFT
         self.d_snoops += n_lines
         way_mv = front._way_mv
-        home_tag0 = front._tag0
         tags_b = front._tags_b
         state_b = front._state_b
         age_b = front._age_b
@@ -797,31 +739,22 @@ class _FusedLane:
         entries = self.entries
         if victim_page == self.last_page:
             self.last_page = -1   # the memoed page is leaving FMem
-        residents = (self.pageres.pop(victim_page, None)
-                     if self.pageres is not None else None)
-        if residents is None:
-            # No fill record for the page: scan its window of the way
-            # index (ascending tag order, the order the scalar snoop
-            # walks).
-            i0 = tag0 - home_tag0
-            residents = (front._way[i0:i0 + n_lines].nonzero()[0]
-                         + tag0).tolist()
-        # A fill record may hold stale tags (victim-evicted since);
-        # they read way 0.  Drain effects are order-insensitive
-        # (set/total semantics), so set order vs. tag order is
-        # unobservable.
+        # The page's window of the way index; its non-zero entries are
+        # the resident lines, visited in ascending tag order (the order
+        # the scalar snoop walks).
+        i0 = tag0 - front._tag0
+        window = front._way[i0:i0 + n_lines]
+        offs = window.nonzero()[0]
         snooped = False
         n_inval = 0
         marks = self.marks
-        for t in residents:
-            way = way_mv[t - home_tag0]
-            if not way:
-                continue
+        for off, way in zip(offs.tolist(), window[offs].tolist()):
+            t = tag0 + off
             flat = (t & set_mask) * ways + way - 1
             state = state_b[flat]
             if state == SHARED:   # clean copies survive the snoop
                 continue
-            way_mv[t - home_tag0] = 0
+            way_mv[i0 + off] = 0
             tags_b[flat] = _EMPTY
             state_b[flat] = INVALID
             age_b[flat] = 0
@@ -968,8 +901,10 @@ def run_trace_batched(rt: "KonaRuntime",
     """Execute a stream of ``(addrs, writes)`` chunks; returns the
     accumulated stall ns.
 
-    The CPU-cache state is imported and the fused lane built once per
-    stream: every chunk runs against the same front-end, carrying the
+    The caller has checked :meth:`_FusedLane.eligible`; every other
+    runtime runs the scalar oracle.  The CPU-cache state is imported
+    and the fused lane built once per stream, when the first chunk
+    arrives: every chunk runs against the same front-end, carrying the
     access ordinal, the capture numbering and the one stall chain (see
     the ordering contract on :class:`_FusedLane`) across chunks, which
     the caller has validated as cadence multiples (bar the last).
@@ -987,21 +922,10 @@ def run_trace_batched(rt: "KonaRuntime",
     chunk — streamed columnar traces store region-relative addresses
     and never materialize a rebased copy of the whole trace.
     """
-    cfg = rt.config
-    # Threshold fractions; at the config defaults every comparison is
-    # arithmetically identical to the historical integer forms (the
-    # fractions are dyadic and the operands small, so the float
-    # products are exact).
-    escape_frac = cfg.batch_escape_density
-    reenter_frac = cfg.batch_reenter_hits
-    miss_gate = 1.0 - cfg.miss_replay_density
     front: Optional[VectorizedCoherentCache] = None
-    lane: Optional[_FusedLane] = None
-    lane_ok = _FusedLane.eligible(rt)
     vf_start, vf_end = rt.vfmem.start, rt.vfmem.end
     tick = rt.obs.tick if rt.obs.sampler is not None else None
     maybe_evict = rt.maybe_evict
-    counters = rt.counters
     # Causal capture numbers faults by global access ordinal: ``base``
     # counts accesses completed before this stream, and each
     # span/segment threads its stream-relative offset down.
@@ -1009,34 +933,19 @@ def run_trace_batched(rt: "KonaRuntime",
     seq_base = cap.base if cap is not None else 0
     stall = 0.0
     pos = 0   # stream ordinal of the next access (= its cadence phase)
-    vector_mode = True
     try:
         for chunk_addrs, chunk_writes in chunks:
+            if front is None:
+                lane = _FusedLane(rt, VectorizedCoherentCache.from_scalar(
+                    rt.cpu_cache, rt.vfmem))
+                front = lane.front
+                front.attach(rt.agent.directory)
+                front.record_mutations = True
+                rt._cache_stale = True
             for lo in range(0, int(chunk_addrs.size), _CHUNK):
                 addrs = chunk_addrs[lo:lo + _CHUNK]
                 writes = chunk_writes[lo:lo + _CHUNK]
                 n = int(addrs.size)
-                if not vector_mode:
-                    # Scalar stretch (mode switches land on span =
-                    # cadence boundaries, so maintenance timing is
-                    # unchanged).
-                    hits0 = counters["cache_hits"]
-                    if cap is not None:
-                        cap.base = seq_base + pos
-                    stall = rt._run_trace_scalar(addrs, writes, stall,
-                                                 base=base)
-                    hits = counters["cache_hits"] - hits0
-                    vector_mode = hits >= n * reenter_frac
-                    pos += n
-                    continue
-                if front is None:
-                    front = VectorizedCoherentCache.from_scalar(
-                        rt.cpu_cache, rt.vfmem)
-                    front.attach(rt.agent.directory)
-                    front.record_mutations = True
-                    rt._cache_stale = True
-                    if lane_ok:
-                        lane = _FusedLane(rt, front)
                 a = np.asarray(addrs).astype(np.int64, copy=False)
                 if base:
                     a = a + base
@@ -1044,38 +953,25 @@ def run_trace_batched(rt: "KonaRuntime",
                 ok = (a >= vf_start) & (a < vf_end)
                 limit = n if ok.all() else int(ok.argmin())
                 tags = a >> _LINE_SHIFT
-                stall, replayed = _run_span(rt, front, tags[:limit],
-                                            w[:limit], pos, stall,
-                                            maybe_evict, tick, lane,
-                                            seq_base + pos, miss_gate)
+                stall = _run_span(rt, front, tags[:limit], w[:limit], pos,
+                                  stall, maybe_evict, tick, lane,
+                                  seq_base + pos)
                 if limit < n:
                     # Same behaviour as the scalar loop: every access
                     # before the bad one has executed; the bad one raises.
                     raise AddressError(
                         f"{int(a[limit]):#x} is not Kona-managed memory")
                 pos += n
-                if lane is None and replayed > n * escape_frac:
-                    # No fused lane (tracing, extra agents, content
-                    # shadow): mostly-scalar replay is slower than the
-                    # dict-cache loop, so export and run scalar until the
-                    # trace turns hot again.  With the lane, replayed
-                    # misses are faster than the dict path and the engine
-                    # never escapes.
-                    _export(rt, front)
-                    front = None
-                    vector_mode = False
-            if lane is not None:
-                # The iterator runs next: publish the batched deltas
-                # (it may read counters) and drop the MRU page memo (it
-                # may reclaim FMem pages, e.g. ``maybe_evict``).
-                lane.flush()
-                lane.last_page = -1
+            # The iterator runs next: publish the batched deltas (it may
+            # read counters) and drop the MRU page memo (it may reclaim
+            # FMem pages, e.g. ``maybe_evict``).
+            lane.flush()
+            lane.last_page = -1
         if cap is not None:
             cap.base = seq_base + pos
     finally:
-        if lane is not None:
-            lane.flush()
         if front is not None:
+            lane.flush()
             _export(rt, front)
     return stall
 
@@ -1090,22 +986,18 @@ def _export(rt: "KonaRuntime", front: VectorizedCoherentCache) -> None:
 
 def _run_span(rt: "KonaRuntime", front: VectorizedCoherentCache,
               tags: np.ndarray, w: np.ndarray, g_base: int, stall: float,
-              maybe_evict, tick,
-              lane: Optional[_FusedLane] = None,
-              seq0: int = 0, miss_gate: float = 0.5) -> Tuple[float, int]:
+              maybe_evict, tick, lane: _FusedLane, seq0: int) -> float:
     """Run one chunk, segmented at the maintenance cadence.
 
     The scalar loop runs ``maybe_evict``/``obs.tick`` *after* access
     ``i`` whenever ``i % 256 == 0``, so each segment extends through
     the next cadence index and maintenance fires at its end.  Returns
-    ``(stall, accesses handled by scalar replay)`` — the second value
-    feeds the caller's miss-heavy escape hatch.
+    the stall accumulator.
     """
     m = int(tags.size)
     local = 0
-    replayed = 0
     hot = False
-    if lane is not None and m > _CADENCE:
+    if m > _CADENCE:
         # Hot-span fast path: classify the whole chunk once and keep
         # the masks alive across cadence boundaries — boundary events
         # and maintenance mutations are patched into the remaining
@@ -1125,24 +1017,18 @@ def _run_span(rt: "KonaRuntime", front: VectorizedCoherentCache,
             stall = _run_patch(rt, front, tags, w, pure, flat, ages,
                                local, end, stall, lane, seq0)
         else:
-            stall, seg_replayed = _run_segment(rt, front, tags[local:end],
-                                               w[local:end],
-                                               front._clock + 1,
-                                               stall, lane, seq0 + local,
-                                               miss_gate)
-            replayed += seg_replayed
+            stall = _run_segment(rt, front, tags[local:end], w[local:end],
+                                 front._clock + 1, stall, lane,
+                                 seq0 + local)
         front._clock += end - local
         if (g_base + end - 1) % _CADENCE == 0:
-            if lane is not None:
-                # Maintenance reads gauges (counters, bitmap, FMem
-                # stats); every batched delta must be visible first.
-                # Watermark reclaim drains pages through the lane's
-                # vectorized snoop instead of the per-line scalar one.
-                lane.flush()
-                if maybe_evict(evict_page=lane.drain_page_addr):
-                    lane.flush()   # reclaim deltas, before the sampler tick
-            else:
-                maybe_evict()
+            # Maintenance reads gauges (counters, bitmap, FMem stats);
+            # every batched delta must be visible first.  Watermark
+            # reclaim drains pages through the lane's vectorized snoop
+            # instead of the per-line scalar one.
+            lane.flush()
+            if maybe_evict(evict_page=lane.drain_page_addr):
+                lane.flush()   # reclaim deltas, before the sampler tick
             if hot and end < m and front._mutations:
                 # Proactive eviction may have snooped lines out of the
                 # CPU cache; fold the journal into the live span masks.
@@ -1153,40 +1039,32 @@ def _run_span(rt: "KonaRuntime", front: VectorizedCoherentCache,
             if tick is not None:
                 tick()
         local = end
-    return stall, replayed
+    return stall
 
 
 def _run_segment(rt: "KonaRuntime", front: VectorizedCoherentCache,
                  seg_tags: np.ndarray, seg_w: np.ndarray, age0: int,
-                 stall: float,
-                 lane: Optional[_FusedLane] = None,
-                 seq0: int = 0, miss_gate: float = 0.5) -> Tuple[float, int]:
-    """Bulk-resolve pure-hit runs; replay each boundary event.
-
-    Returns ``(stall, accesses handled by scalar replay)``.
-    """
+                 stall: float, lane: _FusedLane, seq0: int) -> float:
+    """Bulk-resolve pure-hit runs; replay each boundary event."""
     length = int(seg_tags.size)
     pure, flat = front.classify(seg_tags, seg_w)
-    if int(pure.sum()) < length * miss_gate:
-        # Miss-heavy segment: the run/patch machinery would pay its
-        # numpy overhead on nearly every access for no bulk win, so
-        # replay the segment access-by-access against the front-end's
-        # way index — same events, same order, same counters.
-        if lane is not None:
-            return lane.replay(seg_tags, seg_w, age0, stall,
-                               seq0), length
-        return _replay_segment(rt, front, seg_tags, seg_w, age0,
-                               stall, seq0), length
+    if 2 * int(pure.sum()) < length:
+        # Miss-heavy segment (at least half of it misses): the
+        # run/patch machinery would pay its numpy overhead on nearly
+        # every access for no bulk win, so replay the segment
+        # access-by-access against the front-end's way index — same
+        # events, same order, same counters.
+        return lane.replay(seg_tags, seg_w, age0, stall, seq0)
     ages = np.arange(age0, age0 + length, dtype=np.int64)
     return _run_patch(rt, front, seg_tags, seg_w, pure, flat, ages, 0,
-                      length, stall, lane, seq0), 0
+                      length, stall, lane, seq0)
 
 
 def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
                tags: np.ndarray, w: np.ndarray, pure: np.ndarray,
                flat: np.ndarray, ages: np.ndarray,
                start: int, end: int, stall: float,
-               lane: Optional[_FusedLane], seq0: int = 0) -> float:
+               lane: _FusedLane, seq0: int) -> float:
     """Run/patch ``[start, end)`` of a classified window.
 
     Bulk-resolves pure-hit runs; each boundary event is dispatched off
@@ -1200,10 +1078,7 @@ def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
     True-direction patches were two full-tail array ops per event).
     """
     counters = rt.counters
-    agent = rt.agent
     account = rt.account
-    tracer = rt.obs.tracer
-    hist = rt._stall_hist
     slot_of = front.slot_of
     state_b = front._state_b
     age_b = front._age_b
@@ -1244,33 +1119,18 @@ def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
             # Resident but not writable on a write: upgrade (S/O -> M).
             if cap is not None:
                 cap.seq = seq0 + p   # a rare generic re-fill records
-            if lane is not None:
-                lane.upgrade(tag, age)
-                lane.d_cache_hits += 1
-            else:
-                front.upgrade(tag << _LINE_SHIFT, age)
-                counters.add("cache_hits")
+            lane.upgrade(tag, age)
+            lane.d_cache_hits += 1
             if front._mutations:
                 _patch_mutations(front, tags[p + 1:], w[p + 1:],
                                  pure[p + 1:])
         else:
             if cap is not None:
                 cap.seq = seq0 + p
-            if lane is not None:
-                victim_tag, code, fill_flat, cost = lane.miss(
-                    tag, isw, age)
-                stall += cost
-                account.charge("memory_stall", cost)
-                lane.d_cache_misses += 1
-            else:
-                victim_tag, code, fill_flat = front.miss_fill(
-                    tag << _LINE_SHIFT, isw, age)
-                cost = agent.last_access_ns
-                stall += cost
-                account.charge("memory_stall", cost)
-                counters.add("cache_misses")
-                if tracer.enabled:
-                    hist.observe(cost)
+            victim_tag, code, fill_flat, cost = lane.miss(tag, isw, age)
+            stall += cost
+            account.charge("memory_stall", cost)
+            lane.d_cache_misses += 1
             # The victim left: any later access still marked as a pure
             # hit on it must fall back to the event path.
             if victim_tag is not None:
@@ -1290,65 +1150,6 @@ def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
 #: ``_WRITABLE`` as a Python tuple (state codes I/S/E/O/M) — scalar
 #: indexing in the replay loop without numpy scalar boxing.
 _WRITABLE_PY = tuple(bool(x) for x in _WRITABLE)
-
-
-def _replay_segment(rt: "KonaRuntime", front: VectorizedCoherentCache,
-                    seg_tags: np.ndarray, seg_w: np.ndarray, age0: int,
-                    stall: float, seq0: int = 0) -> float:
-    """Scalar replay of one segment against the vectorized front-end.
-
-    Functionally identical to the run/patch path (``front``'s scalar
-    methods mirror ``CoherentCache.access`` exactly); chosen when a
-    segment classifies as mostly misses.  Counters are accumulated and
-    added once — totals, not call counts, are what the scalar path's
-    counters hold.
-    """
-    counters = rt.counters
-    agent = rt.agent
-    account = rt.account
-    tracer = rt.obs.tracer
-    hist = rt._stall_hist
-    slot_of = front.slot_of
-    state_b = front._state_b
-    age_b = front._age_b
-    cap = rt._capture
-    seq_off = seq0 - age0
-    hits = 0
-    misses = 0
-    age = age0 - 1
-    for tag, isw in zip(seg_tags.tolist(), seg_w.tolist()):
-        age += 1
-        flat = slot_of(tag)
-        if flat >= 0:
-            if not isw or _WRITABLE_PY[state_b[flat]]:
-                if isw:
-                    state_b[flat] = MODIFIED
-                age_b[flat] = age
-                hits += 1
-                continue
-            if cap is not None:
-                cap.seq = seq_off + age
-            front.upgrade(tag << _LINE_SHIFT, age)
-            counters.add("cache_hits")
-            continue
-        if cap is not None:
-            cap.seq = seq_off + age
-        front.miss_fill(tag << _LINE_SHIFT, isw, age)
-        cost = agent.last_access_ns
-        stall += cost
-        account.charge("memory_stall", cost)
-        misses += 1
-        if tracer.enabled:
-            hist.observe(cost)
-    if hits:
-        front.counters.add("hits", hits)
-        counters.add("cache_hits", hits)
-    if misses:
-        counters.add("cache_misses", misses)
-    # Nothing to patch in this mode; drop any snoop journal entries so
-    # they don't leak into the next (reclassified) segment.
-    front._mutations.clear()
-    return stall
 
 
 def _patch_mutations(front: VectorizedCoherentCache, rem_tags: np.ndarray,

@@ -41,7 +41,7 @@ from ..obs import FlightRecorder, traced
 from ..vm.swap import ExecutionReport
 from .alloclib import AllocLib
 from .config import KonaConfig
-from .engine import run_trace_batched
+from .engine import _FusedLane, run_trace_batched
 from .eviction import EvictionHandler
 from .failures import FailureManager, FallbackMode, MachineCheckException
 from .health import HealthMonitor, HealthState
@@ -169,7 +169,8 @@ class KonaRuntime:
 
         # -- replication & durability ---------------------------------------------
         #: Optional content shadow (attach_data_plane) for durability
-        #: proofs; None keeps the batched trace engine eligible.
+        #: proofs; while one is attached, trace runs use the scalar
+        #: oracle.
         self.content: Optional[DataPlane] = None
         self.replication: Optional[ReplicationManager] = None
         if cfg.replication_factor > 1:
@@ -491,8 +492,9 @@ class KonaRuntime:
         cap = self._capture
         if cap is not None:
             # Scalar path: each access is the next global ordinal.  The
-            # batched engine manages ``base`` around scalar stretches so
-            # both engines number faults identically.
+            # batched engine numbers a stream's faults from ``base`` and
+            # advances it by the stream's length, so both engines
+            # number faults identically.
             cap.seq = cap.base
             cap.base += 1
         hit = self.cpu_cache.access(addr, is_write)
@@ -557,9 +559,13 @@ class KonaRuntime:
 
         ``engine="batched"`` (default) bulk-resolves pure CPU-cache
         hits through the vectorized front-end and replays everything
-        else through the scalar back-end (see :mod:`repro.kona.engine`);
+        else through the fused miss lane (see :mod:`repro.kona.engine`);
         ``engine="scalar"`` is the one-access-at-a-time oracle.  Both
         produce bit-identical reports, counters and component state.
+        A runtime the lane's proofs do not cover — tracing on, a
+        content shadow, or other coherence agents or directory
+        observers — runs the scalar oracle whichever engine is asked
+        for.
 
         ``base`` adds a constant offset to every address as it is
         consumed — streamed columnar traces store region-relative
@@ -589,16 +595,20 @@ class KonaRuntime:
         a nested ``run_trace`` raise :class:`SimulationError` there.
         Counter reads, maintenance (``maybe_evict``) and fabric and
         health calls (``fabric.fail_node``, ``recover``) are fine.  A
-        causal capture or gauge sampler is bound when the stream starts.
+        causal capture, gauge sampler or tracer is bound when the stream
+        starts, and so is the engine: a runtime the fused miss lane
+        cannot serve (see ``run_trace``) runs the whole stream on the
+        scalar oracle.
         """
         if engine not in ("batched", "scalar"):
             raise ConfigError(f"unknown run_trace engine {engine!r}; "
                               "choose 'batched' or 'scalar'")
         if self._cache_stale:
             raise SimulationError(_CACHE_HELD)
-        if engine != "scalar" and self.content is not None:
-            # The data plane versions writes per access; the batched
-            # front-end bulk-resolves hits and would skip them.
+        if engine != "scalar" and not _FusedLane.eligible(self):
+            # The batched engine is the fused lane or nothing: tracing,
+            # a content shadow and extra agents or observers need the
+            # per-access path.
             engine = "scalar"
         total = 0
 
@@ -648,8 +658,8 @@ class KonaRuntime:
 
         Iterates the trace in fixed-size chunks so large traces never
         materialize whole-array ``tolist`` copies.  ``stall`` seeds the
-        accumulator so a caller (the batched engine's scalar stretches)
-        can continue one float-accumulation chain — float addition is
+        accumulator so the scalar stream can continue one
+        float-accumulation chain across its chunks — float addition is
         not associative, and the engines must agree bit for bit.
         """
         access = self._access   # callers checked _cache_stale

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import repro.common.units as u
+from repro.coherence.vectorized import VectorizedCoherentCache
 from repro.kona import KonaConfig, KonaRuntime
 
 
@@ -13,6 +14,21 @@ from repro.kona import KonaConfig, KonaRuntime
 def rng():
     """Deterministic RNG for tests."""
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def front_imports(monkeypatch):
+    """Records one entry per CPU-cache import into the vectorized
+    front-end (``VectorizedCoherentCache.from_scalar``)."""
+    calls = []
+    real = VectorizedCoherentCache.from_scalar.__func__
+
+    def counting(cls, cache, home):
+        calls.append(1)
+        return real(cls, cache, home)
+    monkeypatch.setattr(VectorizedCoherentCache, "from_scalar",
+                        classmethod(counting))
+    return calls
 
 
 @pytest.fixture

@@ -40,6 +40,7 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
 
 HOT_MIX_ACCESSES = 100_000
 PAGE_RANK_ACCESSES = 64_000
+VOLTDB_ACCESSES = 60_000
 STREAM_CHUNK = 8_192
 CAMPAIGN_OPS = 12_000
 
@@ -97,11 +98,11 @@ def _case_hot_mix():
     return _array_digest(addrs, writes), runtime_fingerprint(rt, report)
 
 
-def _case_page_rank(protocol):
+def _case_model(name, accesses, protocol):
     def run():
-        model = WORKLOADS["page-rank"]()
+        model = WORKLOADS[name]()
         trace = model.generate(windows=2, seed=7)
-        n = min(PAGE_RANK_ACCESSES, len(trace))
+        n = min(accesses, len(trace))
         addrs = trace.addrs[:n].astype(np.int64)
         writes = trace.writes[:n]
         rt = _runtime(fmem_mb=8, protocol=protocol)
@@ -144,9 +145,15 @@ def _case_failover():
 
 CASES = {
     "hot-mix-mesi": _case_hot_mix,
-    "page-rank-8mb-msi": _case_page_rank("msi"),
-    "page-rank-8mb-mesi": _case_page_rank("mesi"),
-    "page-rank-8mb-moesi": _case_page_rank("moesi"),
+    "page-rank-8mb-msi": _case_model("page-rank", PAGE_RANK_ACCESSES, "msi"),
+    "page-rank-8mb-mesi": _case_model("page-rank", PAGE_RANK_ACCESSES,
+                                      "mesi"),
+    "page-rank-8mb-moesi": _case_model("page-rank", PAGE_RANK_ACCESSES,
+                                       "moesi"),
+    # The quick runtime bench case's shape: its 4-window trace starts
+    # with the same 60k accesses as this 2-window one.
+    "voltdb-tpcc-8mb-mesi": _case_model("voltdb-tpcc", VOLTDB_ACCESSES,
+                                        "mesi"),
     "hot-mix-stream-2chunk-write-capture": _case_stream_capture,
     "chaos-campaign": _case_chaos,
     "memnode-failover-campaign": _case_failover,

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 import repro.common.units as u
-from repro.common.errors import ConfigError
 from repro.experiments.bench import (RUNTIME_QUICK_CASES,
                                      check_speedup, runtime_fingerprint)
 from repro.kona.config import KonaConfig
@@ -203,38 +202,6 @@ class TestStreamedAndSharded:
             out[engine] = (result.totals.as_dict(), result.elapsed_ns,
                            result.fault_log().aggregate())
         assert out["batched"] == out["scalar"]
-
-
-class TestConfigKnobs:
-    def test_defaults(self):
-        cfg = KonaConfig(fmem_capacity=4 * u.MB, vfmem_capacity=64 * u.MB,
-                         slab_bytes=16 * u.MB)
-        assert cfg.miss_replay_density == 0.5
-        assert cfg.batch_escape_density == 0.5
-        assert cfg.batch_reenter_hits == 0.875
-
-    @pytest.mark.parametrize("field,value", [
-        ("miss_replay_density", 0.0),
-        ("miss_replay_density", 1.5),
-        ("batch_escape_density", -0.1),
-        ("batch_escape_density", 2.0),
-        ("batch_reenter_hits", -0.5),
-        ("batch_reenter_hits", 1.01),
-    ])
-    def test_out_of_range_rejected(self, field, value):
-        with pytest.raises(ConfigError):
-            KonaConfig(fmem_capacity=4 * u.MB, vfmem_capacity=64 * u.MB,
-                       slab_bytes=16 * u.MB, **{field: value})
-
-    def test_hysteresis_knobs_are_honored(self):
-        # Degenerate thresholds flip the adaptive engine's mode
-        # choices, but bit-identity with the oracle must hold at any
-        # legal setting — the knobs steer speed, never results.
-        for density in (0.01, 1.0):
-            assert_all_identical(lambda: miss_heavy_trace(4_000, 41),
-                                 miss_replay_density=density,
-                                 batch_escape_density=density,
-                                 batch_reenter_hits=0.0)
 
 
 class TestPerfGateFloors:

@@ -108,19 +108,33 @@ class TestConfigurationMatrix:
             lambda: build_runtime(fmem_capacity=1 * u.MB),
             workload_trace("redis-rand", n=8_000))
 
-    def test_sampler_and_tracing(self):
+    # Each sampler case runs twice: with tracing on, the batched engine
+    # runs the scalar oracle; with tracing off, the fused lane serves
+    # the stream and must run the sampler's maintenance ticks exactly.
+
+    @staticmethod
+    def _assert_sampler_identical(tracing):
         def make_rt():
-            rec = FlightRecorder(tracing=True, sample_interval_ns=10_000.0)
+            rec = FlightRecorder(tracing=tracing,
+                                 sample_interval_ns=10_000.0)
             return build_runtime(recorder=rec)
         assert_identical(make_rt, mapped_hot_trace())
 
-    def test_tsdb_sample_timelines_identical(self):
+    def test_sampler_and_tracing(self):
+        self._assert_sampler_identical(tracing=True)
+
+    def test_sampler_without_tracing(self):
+        self._assert_sampler_identical(tracing=False)
+
+    @staticmethod
+    def _assert_tsdb_timelines_identical(tracing):
         # The time-series store is fed from the sampler on the sim
         # clock, so both engines must produce the same timeline:
         # same timestamps, same gauge values, point for point.
         stores = {}
         for engine in ("scalar", "batched"):
-            rec = FlightRecorder(tracing=True, sample_interval_ns=10_000.0)
+            rec = FlightRecorder(tracing=tracing,
+                                 sample_interval_ns=10_000.0)
             rt = build_runtime(recorder=rec)
             region = rt.mmap(32 * u.MB)
             addrs, writes = hot_trace(N, 32 * u.MB)
@@ -129,6 +143,12 @@ class TestConfigurationMatrix:
             stores[engine] = rec.tsdb.as_dict()
         assert stores["scalar"]
         assert stores["scalar"] == stores["batched"]
+
+    def test_tsdb_sample_timelines_identical(self):
+        self._assert_tsdb_timelines_identical(tracing=True)
+
+    def test_tsdb_sample_timelines_identical_without_tracing(self):
+        self._assert_tsdb_timelines_identical(tracing=False)
 
 
 class TestEngineContract:
@@ -175,6 +195,24 @@ class TestEngineContract:
                              rt.cpu_cache.counters.as_dict(),
                              [list(s.items()) for s in rt.cpu_cache._sets])
         assert state["scalar"] == state["batched"]
+
+    @pytest.mark.parametrize("attach", ["tracing", "data_plane",
+                                        "observer"])
+    def test_lane_ineligible_runtimes_run_the_oracle(self, attach,
+                                                     front_imports):
+        # Where the fused lane's proofs do not hold, engine="batched"
+        # runs the scalar oracle: it never imports the CPU cache into
+        # the vectorized front-end, and it matches engine="scalar".
+        def make_rt():
+            rt = build_runtime(recorder=FlightRecorder(tracing=True)
+                               if attach == "tracing" else None)
+            if attach == "data_plane":
+                rt.attach_data_plane()
+            elif attach == "observer":
+                rt.agent.directory.subscribe(lambda event: None)
+            return rt
+        assert_identical(make_rt, mapped_hot_trace())
+        assert front_imports == []
 
     def test_shape_mismatch_rejected(self):
         rt = build_runtime()
