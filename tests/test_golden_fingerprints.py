@@ -42,6 +42,7 @@ HOT_MIX_ACCESSES = 100_000
 PAGE_RANK_ACCESSES = 64_000
 VOLTDB_ACCESSES = 60_000
 STREAM_CHUNK = 8_192
+WRITE_STREAM_CHUNK = 16_384
 CAMPAIGN_OPS = 12_000
 
 
@@ -128,6 +129,26 @@ def _case_stream_capture():
              "fault_log": cap.log.aggregate()})
 
 
+def _case_write_stream_capture():
+    # The first 65,536 accesses of the bench's write-stream trace: deep
+    # enough past the 90% watermark to run ten reclaims, with full-page
+    # writes and log flushes in a streamed, capture-on run.
+    addrs, writes = _hot_mix(4 * WRITE_STREAM_CHUNK, seed=7,
+                             write_fraction=0.5, cold=0.6, hot_lines=4096,
+                             region_bytes=256 * u.MB)
+    rt = _runtime(fmem_mb=32, vfmem_mb=512)
+    cap = rt.attach_causal_capture()
+    region = rt.mmap(256 * u.MB)
+    base = np.int64(region.start)
+    chunks = [(addrs[lo:lo + WRITE_STREAM_CHUNK] + base,
+               writes[lo:lo + WRITE_STREAM_CHUNK])
+              for lo in range(0, addrs.size, WRITE_STREAM_CHUNK)]
+    report = rt.run_trace_stream(iter(chunks), engine="scalar")
+    return (_array_digest(addrs, writes),
+            {"runtime": runtime_fingerprint(rt, report),
+             "fault_log": cap.log.aggregate()})
+
+
 def _case_chaos():
     from repro.experiments.chaos import chaos_stream, run_chaos
     addrs, writes = chaos_stream(0, CAMPAIGN_OPS, 0)
@@ -155,6 +176,7 @@ CASES = {
     "voltdb-tpcc-8mb-mesi": _case_model("voltdb-tpcc", VOLTDB_ACCESSES,
                                         "mesi"),
     "hot-mix-stream-2chunk-write-capture": _case_stream_capture,
+    "write-stream-32mb-capture": _case_write_stream_capture,
     "chaos-campaign": _case_chaos,
     "memnode-failover-campaign": _case_failover,
 }
