@@ -433,6 +433,9 @@ def cmd_trace_replay(args: argparse.Namespace) -> None:
             "cache_misses": rt.counters["cache_misses"],
             "remote_fetches": rt.agent.counters["remote_fetches"],
             "pages_evicted": rt.eviction.stats.pages_evicted,
+            "background_ns": report.background_ns,
+            "lines_logged": rt.eviction.stats.lines_logged,
+            "wire_bytes": rt.eviction.stats.wire_bytes,
         })
         if fleet_out:
             from .obs.fleet import FleetRecorder

@@ -373,12 +373,24 @@ class KonaRuntime:
         return outcome.location
 
     def _eviction_sink(self, vfmem_page_addr: int, dirty_mask: int) -> None:
-        # Eviction runs off the critical path (paper section 4.4): the
-        # handler's time accrues to the background budget.
-        elapsed = self.eviction.evict_page(vfmem_page_addr, dirty_mask)
-        self.background_ns += elapsed
-        if self.obs.enabled:
-            self._evict_hist.observe(elapsed)
+        self._evict_pages((vfmem_page_addr,), (dirty_mask,))
+
+    def _evict_pages(self, page_addrs, masks) -> None:
+        """Hand FMem victims to the eviction handler in one call.
+
+        Eviction runs off the critical path (paper section 4.4): each
+        page's handler time accrues to the background budget, folded
+        in page order (one float chain; see the ordering contract in
+        ``docs/architecture.md``).  The agent's sink passes one page;
+        the batched engine passes its queue (``_FusedLane.flush``).
+        """
+        background = self.background_ns
+        hist = self._evict_hist if self.obs.enabled else None
+        for elapsed in self.eviction.evict_pages(page_addrs, masks):
+            background += elapsed
+            if hist is not None:
+                hist.observe(elapsed)
+        self.background_ns = background
 
     def attach_data_plane(self) -> DataPlane:
         """Attach the content shadow used for durability proofs.
@@ -683,16 +695,17 @@ class KonaRuntime:
 
     # -- maintenance ----------------------------------------------------------------------
 
-    def maybe_evict(self, evict_page=None) -> int:
+    def maybe_evict(self, drain_pages=None) -> int:
         """Watermark-driven proactive eviction (config watermarks).
 
         When FMem occupancy exceeds the high watermark, reclaim LRU
         pages down to the low watermark — off the critical path, the
         way the paper's Eviction Handler "monitors the cache
         utilization and evicts pages to make room" (section 4.1).
-        ``evict_page`` optionally substitutes the agent's per-page
-        drain (see ``MemoryAgent.proactive_evict``).  Returns pages
-        reclaimed.
+        ``drain_pages`` optionally takes the whole reclaim batch in
+        place of the agent's per-page drain (see
+        ``MemoryAgent.proactive_evict``; the batched engine passes
+        ``_FusedLane.drain_pages``).  Returns pages reclaimed.
         """
         if self.replication is not None and self.replication.backlog_slots:
             # Background maintenance: rebuild the replication factor a
@@ -708,7 +721,7 @@ class KonaRuntime:
         if count <= 0:
             return 0
         self.counters.add("watermark_reclaims")
-        return self.agent.proactive_evict(count, evict_page=evict_page)
+        return self.agent.proactive_evict(count, drain_pages=drain_pages)
 
     def _check_replication_recovered(self) -> None:
         """Close the health loop once redundancy is fully rebuilt."""
