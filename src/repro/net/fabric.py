@@ -270,6 +270,15 @@ class Fabric:
         return (src not in self._down and dst not in self._down
                 and not self.is_partitioned(src, dst))
 
+    def lossless(self) -> bool:
+        """Whether no transfer can fail: no node is down, no partition
+        is cut and no link is flaky.
+
+        Injected delay and jitter slow transfers but never fail them.
+        Any new kind of injected transfer failure must clear this too.
+        """
+        return not (self._down or self._cuts or self._flaky)
+
     # -- transfers ---------------------------------------------------------------
 
     def transfer_cost_ns(self, src: str, dst: str, nbytes: int, *,
