@@ -15,11 +15,9 @@ Usage::
     python -m repro dashboard [--from-artifact FLEET.json] [--html FILE]
                               [--fleet-out FILE] [--trace-out FILE]
                               [--tenant NAME] [--seed 0] [--ops 40000]
-                              [--check-overhead [--quick] [--output FILE]]
     python -m repro sweep [--processes N] [--ops 40000]
     python -m repro bench [--suite kcachesim|runtime] [--quick]
                           [--min-speedup 1.0] [--output FILE]
-                          [--history FILE|none]
     python -m repro trace [--out trace.json] [--prom FILE] [--jsonl FILE]
     python -m repro trace-gen --out DIR [--accesses N] [--chunk N]
                               [--hot-lines N] [--cold-fraction F]
@@ -32,16 +30,17 @@ Usage::
                                  [--fleet-out FILE] [--tenant NAME]
     python -m repro faults [--seed 0] [--ops 20000] [--top 10]
                            [--json FILE] [--trace-out FILE]
-                           [--check-overhead [--quick] [--output FILE]]
     python -m repro profile [--top 10] [--window-us 100]
     python -m repro perfdiff [--run-a A.json --run-b B.json]
-                             [--against BENCH_runtime.json --tolerance 0.5]
                              [--report FILE]
     python -m repro slo [--seed 0] [--trace-ops 8000]
     python -m repro all
 
 Each command prints the regenerated rows/series next to the paper's
-reference values.
+reference values.  ``bench --suite runtime --min-speedup X`` is the
+perf gate: it fails when the canonical speedup is below X, when any
+case is below the floor derived for that exact case (or has none),
+and when capture or fleet overhead exceeds its 1.15x budget.
 """
 
 from __future__ import annotations
@@ -72,11 +71,9 @@ from .experiments import (
 )
 from .experiments.bench import (
     BENCH_FILENAME,
-    HISTORY_FILENAME,
     RUNTIME_BENCH_FILENAME,
-    append_history,
+    RUNTIME_FLOORS,
     check_speedup,
-    load_history,
     run_bench,
     run_runtime_bench,
     write_bench,
@@ -89,9 +86,7 @@ from .experiments.fig8 import SYSTEMS, best_block
 from .experiments.flight import instant_summary, run_flight, span_summary
 from .experiments.sweep import run_sweep, sweep_grid
 from .obs import (
-    bench_regressions,
     critical_path,
-    diff_bench,
     diff_runs,
     load_artifact,
     profile,
@@ -304,16 +299,24 @@ def cmd_bench(args: argparse.Namespace) -> None:
     """Benchmark the scalar vs vectorized/batched engines."""
     if args.suite == "runtime":
         payload = run_runtime_bench(quick=args.quick)
-        fast_label = "batched"
+        fast_label, floors = "batched", RUNTIME_FLOORS
     else:
         payload = run_bench(quick=args.quick)
-        fast_label = "vectorized"
+        fast_label, floors = "vectorized", None
     for case in payload["cases"]:
         print(f"{case['workload']:>18s}  {case['num_accesses']:>9,} accesses  "
               f"scalar {case['scalar']['seconds']:.3f}s  "
               f"{fast_label} {case[fast_label]['seconds']:.3f}s  "
               f"speedup {case['speedup']:.1f}x  "
               f"counters {'ok' if case['counters_match'] else 'MISMATCH'}")
+    for name in ("capture", "fleet"):
+        section = payload.get(name)
+        if section:
+            print(f"{name:>18s}  {section['num_accesses']:>9,} accesses  "
+                  f"off {section['off_seconds']:.3f}s  "
+                  f"on {section['on_seconds']:.3f}s  "
+                  f"overhead {section['overhead']:.3f}x  "
+                  f"({section['fault_records']:,} fault records)")
     streaming = payload.get("streaming")
     if streaming:
         print(f"{streaming['workload']:>18s}  "
@@ -329,10 +332,8 @@ def cmd_bench(args: argparse.Namespace) -> None:
     path = write_bench(payload, output)
     print(f"\ncanonical speedup: {payload['canonical_speedup']:.1f}x "
           f"({payload['canonical_workload']}); report: {path}")
-    if args.history != "none":
-        print(f"history: {append_history(payload, args.history)}")
     if args.min_speedup is not None:
-        failures = check_speedup(payload, args.min_speedup)
+        failures = check_speedup(payload, args.min_speedup, floors)
         if failures:
             for msg in failures:
                 print(f"FAIL: {msg}")
@@ -510,41 +511,8 @@ def cmd_trace(args: argparse.Namespace) -> None:
           f"{health['degradations']} degradation(s)")
 
 
-def _faults_overhead(args: argparse.Namespace) -> None:
-    """The ``repro faults --check-overhead`` gate half."""
-    from .experiments.bench import RUNTIME_CANONICAL_CASE, RuntimeBenchCase
-    from .experiments.faults import (CAUSAL_BENCH_FILENAME,
-                                     check_capture_overhead,
-                                     run_causal_bench, write_causal_bench)
-    case = (RuntimeBenchCase("hot-mix", 150_000) if args.quick
-            else RUNTIME_CANONICAL_CASE)
-    # Best-of-N: each mode's replays total ~0.2 s (quick) and ~0.7 s
-    # (full) on a 2-vCPU VM; with fewer repeats, host noise alone can
-    # fail the 1.15x budget.
-    payload = run_causal_bench(case, runs=4 if args.quick else 5)
-    result = payload["case"]
-    print(f"{result['workload']:>12s}  {result['num_accesses']:>9,} accesses  "
-          f"capture-off {result['off_seconds']:.3f}s  "
-          f"capture-on {result['on_seconds']:.3f}s  "
-          f"overhead {result['overhead']:.3f}x  "
-          f"({result['fault_records']:,} fault records, fingerprint "
-          f"{'ok' if result['fingerprint_matches'] else 'MISMATCH'})")
-    path = write_causal_bench(payload, args.output or CAUSAL_BENCH_FILENAME)
-    print(f"report: {path}")
-    failures = check_capture_overhead(payload)
-    if failures:
-        for msg in failures:
-            print(f"FAIL: {msg}")
-        raise SystemExit(1)
-    print(f"capture overhead gate passed "
-          f"(<= {result['max_overhead']:.2f}x, bit-identical state)")
-
-
 def cmd_faults(args: argparse.Namespace) -> None:
     """Causal fault attribution: hop breakdowns, hot maps, tail windows."""
-    if args.check_overhead:
-        _faults_overhead(args)
-        return
     from .experiments.faults import attribution_report, run_fault_campaign
     from .obs.export import fault_chain_trace
 
@@ -677,40 +645,8 @@ def _campaign_artifact(seed: int, ops: int) -> Dict[str, Any]:
                         meta={"seed": seed, "ops": ops})
 
 
-def _perfdiff_bench(args: argparse.Namespace) -> None:
-    """The bench-baseline gate half of ``repro perfdiff``."""
-    with open(args.against) as fh:
-        baseline = json.load(fh)
-    name = baseline.get("benchmark")
-    records = load_history(args.history, benchmark=name) \
-        if args.history != "none" else []
-    if records:
-        current = records[-1]
-        source = f"latest of {len(records)} history record(s)"
-    else:
-        suite_runner = (run_runtime_bench
-                        if name == "kona-runtime-engine-bench" else run_bench)
-        print(f"no history for {name!r}; measuring a quick run ...")
-        current = suite_runner(quick=True)
-        source = "fresh quick run"
-    deltas = diff_bench(baseline, current, tolerance=args.tolerance)
-    print(render_table(
-        ["workload", "baseline x", "current x", "floor x", "verdict"],
-        [d.row() for d in deltas],
-        title=f"Perf gate vs {args.against} ({source})"))
-    failures = bench_regressions(deltas)
-    if failures:
-        for msg in failures:
-            print(f"FAIL: {msg}")
-        raise SystemExit(1)
-    print(f"perf gate passed (tolerance {args.tolerance:.0%} of baseline)")
-
-
 def cmd_perfdiff(args: argparse.Namespace) -> None:
-    """Run-to-run diff: counters, histograms, self time; perf gates."""
-    if args.against:
-        _perfdiff_bench(args)
-        return
+    """Run-to-run diff: counters, histograms, self time."""
     if args.run_a and args.run_b:
         before, after = load_artifact(args.run_a), load_artifact(args.run_b)
         labels = (args.run_a, args.run_b)
@@ -772,40 +708,8 @@ def cmd_slo(args: argparse.Namespace) -> None:
         raise SystemExit(1)
 
 
-def _dashboard_overhead(args: argparse.Namespace) -> None:
-    """The ``repro dashboard --check-overhead`` gate half."""
-    from .experiments.bench import RUNTIME_CANONICAL_CASE, RuntimeBenchCase
-    from .experiments.fleet import (OBS_BENCH_FILENAME, check_fleet_overhead,
-                                    run_obs_bench, write_obs_bench)
-    case = (RuntimeBenchCase("hot-mix", 300_000) if args.quick
-            else RUNTIME_CANONICAL_CASE)
-    # Best-of-N: ~0.3-0.4 s of timed replay per mode (as in
-    # _faults_overhead).
-    payload = run_obs_bench(case, runs=6 if args.quick else 3)
-    result = payload["case"]
-    print(f"{result['workload']:>12s}  {result['num_accesses']:>9,} accesses  "
-          f"fleet-off {result['off_seconds']:.3f}s  "
-          f"fleet-on {result['on_seconds']:.3f}s  "
-          f"overhead {result['overhead']:.3f}x  "
-          f"({result['fleet_components']} components, "
-          f"{result['fault_records']:,} fault records, fingerprint "
-          f"{'ok' if result['fingerprint_matches'] else 'MISMATCH'})")
-    path = write_obs_bench(payload, args.output or OBS_BENCH_FILENAME)
-    print(f"report: {path}")
-    failures = check_fleet_overhead(payload)
-    if failures:
-        for msg in failures:
-            print(f"FAIL: {msg}")
-        raise SystemExit(1)
-    print(f"fleet observability overhead gate passed "
-          f"(<= {result['max_overhead']:.2f}x, bit-identical state)")
-
-
 def cmd_dashboard(args: argparse.Namespace) -> None:
     """Cluster dashboard: fleet artifact -> terminal summary + HTML."""
-    if args.check_overhead:
-        _dashboard_overhead(args)
-        return
     from .obs.dashboard import dashboard_text, write_dashboard
     from .obs.fleet import FleetRecorder
     if args.from_artifact:
@@ -923,14 +827,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for the sweep command "
                              "(default: cpu count)")
     parser.add_argument("--quick", action="store_true",
-                        help="bench: small trace, fewer repeats")
+                        help="bench: smaller traces")
     parser.add_argument("--suite", choices=["kcachesim", "runtime"],
                         default="kcachesim",
                         help="bench: kcachesim hierarchy engines or the "
                              "end-to-end runtime engines (run_trace)")
     parser.add_argument("--min-speedup", type=float, default=None,
-                        help="bench: fail unless the canonical case "
-                             "reaches this speedup")
+                        help="bench: gate the report: the canonical case "
+                             "must reach this speedup, every case its "
+                             "floor, capture and fleet their budget")
     parser.add_argument("--output", default=None,
                         help="bench: report output path (default depends "
                              "on --suite)")
@@ -942,16 +847,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trace: also write a Prometheus text dump")
     parser.add_argument("--jsonl", default=None,
                         help="trace: also write a JSONL event log")
-    parser.add_argument("--history", default=HISTORY_FILENAME,
-                        help="bench/perfdiff: history JSONL path "
-                             "('none' disables)")
     parser.add_argument("--top", type=int, default=10,
                         help="profile/faults: rows in the top tables")
     parser.add_argument("--json", default=None,
                         help="faults: write the attribution report JSON")
-    parser.add_argument("--check-overhead", action="store_true",
-                        help="faults/dashboard: run the capture- or "
-                             "fleet-overhead gate instead of the campaign")
     parser.add_argument("--from-artifact", default=None,
                         help="dashboard: render a saved fleet artifact "
                              "instead of running a campaign")
@@ -974,12 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="perfdiff: relative noise threshold")
     parser.add_argument("--report", default=None,
                         help="perfdiff: also write the diff report JSON")
-    parser.add_argument("--against", default=None,
-                        help="perfdiff: committed BENCH_*.json baseline to "
-                             "gate speedups against")
-    parser.add_argument("--tolerance", type=float, default=0.5,
-                        help="perfdiff: allowed fractional speedup drop "
-                             "from the baseline")
     parser.add_argument("--input", default=None,
                         help="trace-convert/trace-replay: source trace "
                              "(.npz file or columnar directory)")

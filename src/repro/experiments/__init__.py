@@ -9,10 +9,8 @@ and EXPERIMENTS.md come from exactly this code.
 
 from .bench import (
     BenchCase,
-    RUNTIME_CASE_FLOORS,
-    append_history,
+    RUNTIME_FLOORS,
     check_speedup,
-    load_history,
     run_bench,
     run_case,
     write_bench,
@@ -25,15 +23,7 @@ from .failover import (
     build_failover_runtime,
     run_failover,
 )
-from .faults import (
-    MAX_CAPTURE_OVERHEAD,
-    attribution_report,
-    check_capture_overhead,
-    measure_capture_overhead,
-    run_causal_bench,
-    run_fault_campaign,
-    write_causal_bench,
-)
+from .faults import attribution_report, run_fault_campaign
 from .fig7 import Fig7Result, run_fig7
 from .flight import instant_summary, run_flight, span_summary
 from .fig8 import Fig8Result, run_fig8_amat, run_fig8d_blocksize
@@ -62,24 +52,18 @@ __all__ = [
     "Fig9Result",
     "HeadlineResult",
     "KONA_SLOS",
-    "MAX_CAPTURE_OVERHEAD",
-    "RUNTIME_CASE_FLOORS",
+    "RUNTIME_FLOORS",
     "SweepPoint",
     "SweepResult",
     "Table2Result",
-    "append_history",
     "attribution_report",
     "build_chaos_runtime",
     "build_failover_runtime",
     "chaos_stream",
-    "check_capture_overhead",
     "check_speedup",
     "instant_summary",
-    "measure_capture_overhead",
-    "load_history",
     "run_bench",
     "run_case",
-    "run_causal_bench",
     "run_chaos",
     "run_control",
     "run_failover",
@@ -102,5 +86,4 @@ __all__ = [
     "span_summary",
     "sweep_grid",
     "write_bench",
-    "write_causal_bench",
 ]

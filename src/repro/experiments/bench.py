@@ -1,33 +1,47 @@
-"""Engine benchmark: scalar oracle vs vectorized kernel.
+"""Engine benchmarks: one interleaved timing harness, two suites.
 
-``repro bench`` times both trace-simulation engines on the same
-generated traces, verifies they produce identical counters, and writes
-a machine-readable report (``BENCH_kcachesim.json``) for regression
-tracking.  Methodology:
+``repro bench`` times each scalar oracle against its bulk engine on
+the same generated traces and writes a machine-readable report:
+``BENCH_kcachesim.json`` for the cache-hierarchy engines,
+``BENCH_runtime.json`` for ``KonaRuntime.run_trace`` end to end.  Both
+suites time through :func:`measure_variants`:
 
-* every engine runs the identical (addrs, writes) trace on a freshly
-  built hierarchy; best-of-N wall time is reported (N differs per
-  engine: the scalar oracle is ~10X slower, so it gets fewer runs);
-* the engines' runs are interleaved, not batched, so slow machine
-  phases (CPU contention on shared runners) hit both engines rather
-  than skewing the reported ratio;
-* before timing is trusted, the two engines' per-level hit/miss/
-  eviction/writeback counters and remote fetch/writeback counters are
-  compared — a benchmark that drifts from the oracle fails loudly;
-* the canonical case is ``uniform-stress``: 1M single-line accesses
-  uniform over a 64 MB region with a 32 MB DRAM cache, where nearly
-  every access traverses all four levels and engine cost dominates.
+* every run replays the case's trace on freshly built state, after
+  the case's untimed warm-up (the runtime suite's hot-mix cases sweep
+  their hot set first); best-of-N wall time is reported per variant
+  (N differs per variant: the scalar oracles are 4-12x slower, so
+  they get fewer runs);
+* the variants' runs are interleaved, not batched, so slow machine
+  phases (CPU contention on shared runners) hit every variant rather
+  than skewing the reported ratios;
+* before timing is trusted, every run's fingerprint must equal the
+  first run's — an engine that drifts from the oracle, or an
+  instrument that perturbs the simulation, fails loudly, naming the
+  fingerprint sections that differ;
+* a variant that attaches causal capture must record every cache miss
+  the runtime served.
+
+The runtime suite's first (canonical) case also runs the capture-on
+and fleet-on variants, so one report carries the engine speedups and
+the observability overhead.  :func:`check_speedup` gates both: every
+case against the floor derived for that exact case
+(:data:`RUNTIME_FLOORS`), capture and fleet against
+:data:`MAX_OVERHEAD`.  The kcachesim suite's canonical case is
+``uniform-stress``: 1M single-line accesses uniform over a 64 MB region
+with a 32 MB DRAM cache, where nearly every access traverses all four
+levels and engine cost dominates.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
 import subprocess
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,8 +57,10 @@ BENCH_FILENAME = "BENCH_kcachesim.json"
 #: Default report filename (end-to-end runtime suite).
 RUNTIME_BENCH_FILENAME = "BENCH_runtime.json"
 
-#: Default append-only log of every bench run (one JSON line each).
-HISTORY_FILENAME = os.path.join("benchmarks", "out", "history.jsonl")
+#: The observability tax ceiling: the capture-on and fleet-on replays
+#: of the canonical runtime case may take at most this factor of its
+#: plain batched replay.
+MAX_OVERHEAD = 1.15
 
 
 def _git_sha() -> Optional[str]:
@@ -73,6 +89,109 @@ def host_metadata() -> Dict[str, object]:
             "git_sha": _git_sha()}
 
 
+# -- the harness ---------------------------------------------------------------
+
+
+class Run(NamedTuple):
+    """One timed replay: wall seconds, the state fingerprint, extras."""
+
+    seconds: float
+    fingerprint: Dict[str, Any]
+    extra: Dict[str, Any]
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One way to replay a case.
+
+    ``engine`` names the replay engine.  ``setup`` instruments the
+    freshly built runtime before its warm-up and returns the causal
+    capture it attached (None for a plain run); the harness checks
+    that the capture recorded every cache miss.  A ``fleet`` variant
+    also snapshots the runtime and its rack into a fleet after the
+    timed replay and checks the fleet's fault log instead; the
+    snapshot is timed on its own, since it scales with the component
+    count, not the access count.
+    """
+
+    name: str
+    engine: str = "batched"
+    setup: Optional[Callable[[Any], Any]] = None
+    fleet: bool = False
+
+
+def _attach_capture(rt):
+    return rt.attach_causal_capture()
+
+
+def _attach_fleet(rt):
+    rt.obs.component = "runtime:bench"
+    rt.obs.tenant = "bench"
+    return rt.attach_causal_capture()
+
+
+SCALAR = Variant("scalar", engine="scalar")
+VECTORIZED = Variant("vectorized", engine="vectorized")
+BATCHED = Variant("batched")
+CAPTURE = Variant("capture", setup=_attach_capture)
+FLEET = Variant("fleet", setup=_attach_fleet, fleet=True)
+
+
+def _fingerprint_diff(a: Dict[str, Any], b: Dict[str, Any]) -> List[str]:
+    """The sections in which two fingerprints differ."""
+    return [key for key in {**a, **b} if a.get(key) != b.get(key)]
+
+
+def measure_variants(case, variants: Sequence[Variant],
+                     runs: Dict[str, int]) -> Dict[str, Run]:
+    """Time every variant of one case in one interleaved best-of-N
+    schedule; returns each variant's fastest run.
+
+    ``case`` is a :class:`BenchCase` or a :class:`RuntimeBenchCase`;
+    ``runs`` maps each variant's name to its repeat count.  Each round
+    runs every variant still owed a run, so host-load phases hit all
+    of them.  A run is ``case.replay(case.trace(), variant)``: fresh
+    state (after a garbage collection), the case's untimed warm-up,
+    one timed replay.  Every run's fingerprint must equal the first
+    run's, or the benchmark raises :class:`SimulationError` naming the
+    sections that differ.
+    """
+    trace = case.trace()
+    best: Dict[str, Run] = {}
+    first: Optional[Run] = None
+    for i in range(max(runs[v.name] for v in variants)):
+        for variant in variants:
+            if i >= runs[variant.name]:
+                continue
+            # Free the previous run's state now: a dropped runtime leaves
+            # ~60k objects in reference cycles, and collecting them
+            # inside a later timed replay costs as much as a quick
+            # hot-mix replay itself.
+            gc.collect()
+            run = case.replay(trace, variant)
+            if first is None:
+                first, first_name = run, variant.name
+            else:
+                diff = _fingerprint_diff(first.fingerprint, run.fingerprint)
+                if diff:
+                    raise SimulationError(
+                        f"{variant.name} diverged from {first_name} on "
+                        f"{case.workload}: fingerprint sections {diff} "
+                        f"differ")
+            if variant.name not in best \
+                    or run.seconds < best[variant.name].seconds:
+                best[variant.name] = run
+    return best
+
+
+def _timing(seconds: float, runs: int, n: int) -> Dict[str, float]:
+    return {"seconds": seconds, "runs": runs,
+            "maccesses_per_s": n / seconds / 1e6}
+
+
+# -- the kcachesim suite (scalar vs vectorized CacheHierarchy) -----------------
+
+
 @dataclass(frozen=True)
 class BenchCase:
     """One benchmark configuration."""
@@ -83,6 +202,27 @@ class BenchCase:
     block_size: int = 4096
     ways: int = 4
     seed: int = 1234
+
+    def trace(self):
+        """The generated ``(addrs, writes)`` and the workload's data size."""
+        spec = AMAT_SPECS[self.workload]()
+        addrs, writes = generate_exact_accesses(spec, self.num_accesses,
+                                                self.seed)
+        return addrs, writes, spec.data_bytes
+
+    def replay(self, trace, variant: Variant) -> Run:
+        """Simulate the trace on a fresh hierarchy of the variant's engine.
+
+        The fingerprint is the simulation result plus every level's
+        hit/miss/eviction/writeback counters.
+        """
+        addrs, writes, data_bytes = trace
+        h = _build_hierarchy(self, data_bytes, variant.engine)
+        t0 = time.perf_counter()
+        result = h.simulate(addrs, writes)
+        seconds = time.perf_counter() - t0
+        return Run(seconds, {"result": result,
+                             "level_counters": _level_counters(h)}, {})
 
 
 #: The acceptance case: miss-heavy, all four levels exercised.
@@ -120,35 +260,10 @@ def _level_counters(h: CacheHierarchy) -> Dict[str, Dict[str, int]]:
 def run_case(case: BenchCase, scalar_runs: int = 2,
              vectorized_runs: int = 3) -> Dict[str, object]:
     """Time both engines on one case and verify counter equality."""
-    spec = AMAT_SPECS[case.workload]()
-    addrs, writes = generate_exact_accesses(spec, case.num_accesses, case.seed)
     runs = {"scalar": max(scalar_runs, 1),
             "vectorized": max(vectorized_runs, 1)}
-    timings: Dict[str, float] = {e: float("inf") for e in runs}
-    finals: Dict[str, CacheHierarchy] = {}
-    results = {}
-    # Interleave the engines' runs so machine-load phases affect both
-    # timings rather than biasing their ratio.
-    schedule = [engine
-                for i in range(max(runs.values()))
-                for engine in ("scalar", "vectorized") if i < runs[engine]]
-    for engine in schedule:
-        h = _build_hierarchy(case, spec.data_bytes, engine)
-        t0 = time.perf_counter()
-        result = h.simulate(addrs, writes)
-        timings[engine] = min(timings[engine], time.perf_counter() - t0)
-        finals[engine] = h
-        results[engine] = result
-
-    if results["scalar"] != results["vectorized"]:
-        raise SimulationError(
-            f"engine mismatch on {case.workload}: "
-            f"{results['scalar']} != {results['vectorized']}")
-    scalar_counters = _level_counters(finals["scalar"])
-    if scalar_counters != _level_counters(finals["vectorized"]):
-        raise SimulationError(
-            f"per-level counter mismatch on {case.workload}")
-
+    best = measure_variants(case, (SCALAR, VECTORIZED), runs)
+    scalar, fast = best["scalar"], best["vectorized"]
     n = case.num_accesses
     return {
         "workload": case.workload,
@@ -156,15 +271,12 @@ def run_case(case: BenchCase, scalar_runs: int = 2,
         "cache_fraction": case.cache_fraction,
         "block_size": case.block_size,
         "seed": case.seed,
-        "scalar": {"seconds": timings["scalar"], "runs": scalar_runs,
-                   "maccesses_per_s": n / timings["scalar"] / 1e6},
-        "vectorized": {"seconds": timings["vectorized"],
-                       "runs": vectorized_runs,
-                       "maccesses_per_s": n / timings["vectorized"] / 1e6},
-        "speedup": timings["scalar"] / timings["vectorized"],
+        "scalar": _timing(scalar.seconds, runs["scalar"], n),
+        "vectorized": _timing(fast.seconds, runs["vectorized"], n),
+        "speedup": scalar.seconds / fast.seconds,
         "counters_match": True,
-        "remote_fetches": results["scalar"].remote_fetches,
-        "level_counters": scalar_counters,
+        "remote_fetches": scalar.fingerprint["result"].remote_fetches,
+        "level_counters": scalar.fingerprint["level_counters"],
     }
 
 
@@ -221,15 +333,90 @@ class RuntimeBenchCase:
     cold_fraction: float = 0.002      # ~1 data access per 500 hot hits
     region_mb: int = 192
     write_fraction: float = 0.3
-    #: Report/display key; lets two cases share a workload model at
-    #: different scales without colliding in history and perf-gate
-    #: joins (which key cases by this name).  Defaults to ``workload``.
+    #: Display name in reports, for two cases that share a workload
+    #: model at different scales.  Defaults to ``workload``.  Floors
+    #: key on the case without its label.
     label: Optional[str] = None
 
     @property
     def case_label(self) -> str:
         """Display/report key: the label when set, else the workload."""
         return self.label or self.workload
+
+    def trace(self):
+        """Build the zero-based ``(warm_addrs, warm_writes, addrs,
+        writes, mem_bytes)``; replays rebase them onto the mapped
+        region.  The warm-up is ``None`` for workload-model cases
+        (their interest *is* the cold fill/eviction path).
+        """
+        if self.workload == "hot-mix":
+            region_bytes = self.region_mb * units.MB
+            n = self.num_accesses
+            rng = np.random.default_rng(self.seed)
+            lines = rng.integers(0, self.hot_lines, size=n, dtype=np.int64)
+            cold = rng.random(n) < self.cold_fraction
+            lines[cold] = rng.integers(self.hot_lines,
+                                       region_bytes // units.CACHE_LINE,
+                                       size=int(cold.sum()), dtype=np.int64)
+            addrs = lines * units.CACHE_LINE
+            writes = rng.random(n) < self.write_fraction
+            warm_addrs = np.arange(self.hot_lines, dtype=np.int64) \
+                * units.CACHE_LINE
+            warm_writes = np.zeros(self.hot_lines, dtype=bool)
+            return warm_addrs, warm_writes, addrs, writes, region_bytes
+        from ..workloads import WORKLOADS
+        model = WORKLOADS[self.workload]()
+        trace = model.generate(windows=self.windows, seed=self.seed)
+        n = min(self.num_accesses, len(trace))
+        addrs = trace.addrs[:n].astype(np.int64)
+        return None, None, addrs, trace.writes[:n], model.memory_bytes
+
+    def replay(self, trace, variant: Variant) -> Run:
+        """One run: fresh runtime, untimed warm-up, timed ``run_trace``.
+
+        The extras hold the warm-up length and the counter changes
+        across the timed replay (``timed``); an instrumented variant
+        adds its fault log and, for a fleet, the snapshot's own time
+        and component count.
+        """
+        warm_addrs, warm_writes, addrs0, writes, mem_bytes = trace
+        rt = _build_runtime(self)
+        cap = variant.setup(rt) if variant.setup is not None else None
+        base = np.int64(rt.mmap(mem_bytes).start)
+        if warm_addrs is not None:
+            rt.run_trace(warm_addrs + base, warm_writes,
+                         engine=variant.engine)
+        before = _replay_counters(rt)
+        addrs = addrs0 + base
+        t0 = time.perf_counter()
+        report = rt.run_trace(addrs, writes, engine=variant.engine)
+        seconds = time.perf_counter() - t0
+        fp = runtime_fingerprint(rt, report)
+        extra: Dict[str, Any] = {
+            "warmup_accesses": 0 if warm_addrs is None else warm_addrs.size,
+            "timed": {k: v - before[k]
+                      for k, v in _replay_counters(rt).items()},
+        }
+        if cap is None:
+            return Run(seconds, fp, extra)
+        log = cap.log
+        if variant.fleet:
+            from ..obs.fleet import FleetRecorder
+            t0 = time.perf_counter()
+            fleet = FleetRecorder(name="bench")
+            for member in rt.fleet_members(tenant=rt.obs.tenant):
+                fleet.add(member)
+            log = fleet.fault_log()
+            extra["snapshot_seconds"] = time.perf_counter() - t0
+            extra["fleet_components"] = len(fleet.members)
+        records = 0 if log is None else log.n
+        misses = fp["runtime"].get("cache_misses", 0)
+        if records != misses:
+            raise SimulationError(
+                f"{variant.name} coverage hole on {self.case_label}: "
+                f"{records} fault records vs {misses} cache misses")
+        extra["log"] = log
+        return Run(seconds, fp, extra)
 
 
 #: The acceptance case: hot-set reuse, so the CPU coherent cache —
@@ -249,12 +436,11 @@ RUNTIME_EXTRA_CASES = (
 )
 
 #: Quick (CI) cases mirror the full suite's workload mix at small trace
-#: lengths so the perf gate's history records cover every committed
-#: baseline case except the 4M scale point.  The ``page-rank-miss``
-#: entry is the miss-heavy canonical case at full size (150k accesses,
-#: seed 7, 8 MB FMem): ~99.6% of its accesses miss the front cache, so
-#: it exercises the fused miss lane and the packed directory end to
-#: end and pins its speedup over the scalar oracle in every CI run.
+#: lengths.  The ``page-rank-miss`` entry is the full suite's
+#: miss-heavy ``page-rank`` case (150k accesses, seed 7, 8 MB FMem):
+#: ~99.6% of its accesses miss the front cache, so it exercises the
+#: fused miss lane and the packed directory end to end and pins its
+#: speedup over the scalar oracle in every CI run.
 RUNTIME_QUICK_CASES = (
     RuntimeBenchCase("hot-mix", 150_000),
     RuntimeBenchCase("page-rank", 60_000, fmem_mb=8),
@@ -262,6 +448,37 @@ RUNTIME_QUICK_CASES = (
     RuntimeBenchCase("page-rank", 150_000, fmem_mb=8,
                      label="page-rank-miss"),
 )
+
+#: Repeats per variant, both suite sizes.  Host speed on shared
+#: machines swings by up to half between runs of the same replay, so
+#: the batched engine gets enough tries for its best run to land in a
+#: quiet phase.
+RUNTIME_RUNS = {"scalar": 3, "batched": 8}
+
+#: Repeats on the canonical case, which also runs ``capture`` and
+#: ``fleet``: its replays are short (~0.03 s quick, ~0.1 s full).
+#: Best-of-8 read fleet overheads up to 1.14x against the 1.15x
+#: budget, while twenty interleaved rounds put the three variants'
+#: best runs within 1-2% of one another.
+CANONICAL_RUNS = {"scalar": 3, "batched": 20, "capture": 20, "fleet": 20}
+
+#: Per-case speedup floors of the runtime gate, keyed by the exact case
+#: (same trace, same size, same FMem; the label is display only, so
+#: ``page-rank-miss`` and the full suite's ``page-rank`` share one).
+#: Each floor is the lowest speedup in five runs of its suite (ten for
+#: the shared case) on a 2-vCPU x86_64 VM, CPython 3.11.7, numpy 2.4.6,
+#: less a 20% margin; EXPERIMENTS.md lists the runs.  With the fused
+#: miss lane made 1.5x slower, the quick suite read 2.4-3.4x on
+#: ``page-rank-miss`` and failed this gate in five runs of five.
+RUNTIME_FLOORS: Dict[RuntimeBenchCase, float] = {
+    RuntimeBenchCase("hot-mix", 150_000): 8.84,
+    RuntimeBenchCase("page-rank", 60_000, fmem_mb=8): 3.04,
+    RuntimeBenchCase("voltdb-tpcc", 60_000, fmem_mb=8): 3.21,
+    RuntimeBenchCase("page-rank", 150_000, fmem_mb=8): 3.37,
+    RuntimeBenchCase("hot-mix", 1_000_000): 21.29,
+    RuntimeBenchCase("voltdb-tpcc", 150_000, fmem_mb=8): 3.09,
+    RuntimeBenchCase("hot-mix", 4_000_000): 18.23,
+}
 
 #: The streaming scale point: accesses replayed from a memory-mapped
 #: columnar trace in fixed chunks (a multiple of the 256-access
@@ -280,35 +497,12 @@ def _build_runtime(case: RuntimeBenchCase):
     return KonaRuntime(cfg, app_ns_per_access=case.app_ns)
 
 
-def _case_trace(case: RuntimeBenchCase):
-    """Build the (warmup, timed) traces for a case, zero-based.
-
-    Returns ``(warm_addrs, warm_writes, addrs, writes, mem_bytes, n)``;
-    the caller rebases addresses onto the mapped region.  Warmup is
-    ``None`` for workload-model cases (their interest *is* the cold
-    fill/eviction path).
-    """
-    if case.workload == "hot-mix":
-        region_bytes = case.region_mb * units.MB
-        n = case.num_accesses
-        rng = np.random.default_rng(case.seed)
-        lines = rng.integers(0, case.hot_lines, size=n, dtype=np.int64)
-        cold = rng.random(n) < case.cold_fraction
-        lines[cold] = rng.integers(case.hot_lines,
-                                   region_bytes // units.CACHE_LINE,
-                                   size=int(cold.sum()), dtype=np.int64)
-        addrs = lines * units.CACHE_LINE
-        writes = rng.random(n) < case.write_fraction
-        warm_addrs = np.arange(case.hot_lines, dtype=np.int64) \
-            * units.CACHE_LINE
-        warm_writes = np.zeros(case.hot_lines, dtype=bool)
-        return warm_addrs, warm_writes, addrs, writes, region_bytes, n
-    from ..workloads import WORKLOADS
-    model = WORKLOADS[case.workload]()
-    trace = model.generate(windows=case.windows, seed=case.seed)
-    n = min(case.num_accesses, len(trace))
-    addrs = trace.addrs[:n].astype(np.int64)
-    return None, None, addrs, trace.writes[:n], model.memory_bytes, n
+def _replay_counters(rt) -> Dict[str, int]:
+    """The counters a case reports, read around its timed replay."""
+    return {"cache_hits": rt.counters["cache_hits"],
+            "cache_misses": rt.counters["cache_misses"],
+            "remote_fetches": rt.agent.counters["remote_fetches"],
+            "pages_evicted": rt.eviction.stats.pages_evicted}
 
 
 def runtime_fingerprint(rt, report) -> Dict[str, object]:
@@ -346,74 +540,55 @@ def runtime_fingerprint(rt, report) -> Dict[str, object]:
     }
 
 
-def _fingerprint_diff(a: Dict[str, object], b: Dict[str, object]) -> str:
-    """Human-readable summary of which fingerprint sections diverged."""
-    parts = []
-    for key in a:
-        if a[key] != b[key]:
-            parts.append(f"{key}: scalar={a[key]!r} batched={b[key]!r}")
-    return "; ".join(parts) or "<no differing section?>"
-
-
-def run_runtime_case(case: RuntimeBenchCase, scalar_runs: int = 2,
-                     batched_runs: int = 3) -> Dict[str, object]:
-    """Time both run_trace engines end to end; verify identical state.
-
-    Every run gets a freshly built runtime (the engines must not share
-    warmed state); runs are interleaved for the same reason as the
-    kcachesim suite.  Hot-mix cases run an untimed warmup sweep before
-    the timed trace (both engines, identically).  A fingerprint
-    mismatch — any counter, the dirty bitmap, or the report's
-    elapsed_ns — fails the benchmark.
-    """
-    warm_addrs, warm_writes, addrs0, writes, mem_bytes, n = _case_trace(case)
-    runs = {"scalar": max(scalar_runs, 1), "batched": max(batched_runs, 1)}
-    timings: Dict[str, float] = {e: float("inf") for e in runs}
-    fingerprints: Dict[str, Dict[str, object]] = {}
-    schedule = [engine
-                for i in range(max(runs.values()))
-                for engine in ("scalar", "batched") if i < runs[engine]]
-    for engine in schedule:
-        rt = _build_runtime(case)
-        region = rt.mmap(mem_bytes)
-        base = np.int64(region.start)
-        if warm_addrs is not None:
-            rt.run_trace(warm_addrs + base, warm_writes, engine=engine)
-        addrs = addrs0 + base
-        t0 = time.perf_counter()
-        report = rt.run_trace(addrs, writes, engine=engine)
-        timings[engine] = min(timings[engine], time.perf_counter() - t0)
-        fingerprints[engine] = runtime_fingerprint(rt, report)
-
-    if fingerprints["scalar"] != fingerprints["batched"]:
-        raise SimulationError(
-            f"engine mismatch on {case.workload}: "
-            + _fingerprint_diff(fingerprints["scalar"],
-                                fingerprints["batched"]))
-    fp = fingerprints["scalar"]
-    hits = fp["runtime"].get("cache_hits", 0)
-    timed = fp["runtime"].get("cache_hits", 0) \
-        + fp["runtime"].get("cache_misses", 0)
+def _engine_result(case: RuntimeBenchCase, best: Dict[str, Run],
+                   runs: Dict[str, int]) -> Dict[str, object]:
+    """One runtime case's report entry: speedup and the timed counters."""
+    scalar, batched = best["scalar"], best["batched"]
+    n = scalar.fingerprint["accesses"]
+    timed = scalar.extra["timed"]
+    hits, misses = timed["cache_hits"], timed["cache_misses"]
     return {
         "workload": case.case_label,
-        "model": case.workload,
+        "case": {k: v for k, v in asdict(case).items() if k != "label"},
         "num_accesses": n,
-        "warmup_accesses": 0 if warm_addrs is None else int(warm_addrs.size),
-        "windows": case.windows,
-        "seed": case.seed,
-        "fmem_mb": case.fmem_mb,
-        "vfmem_mb": case.vfmem_mb,
-        "scalar": {"seconds": timings["scalar"], "runs": runs["scalar"],
-                   "maccesses_per_s": n / timings["scalar"] / 1e6},
-        "batched": {"seconds": timings["batched"], "runs": runs["batched"],
-                    "maccesses_per_s": n / timings["batched"] / 1e6},
-        "speedup": timings["scalar"] / timings["batched"],
+        "warmup_accesses": scalar.extra["warmup_accesses"],
+        "scalar": _timing(scalar.seconds, runs["scalar"], n),
+        "batched": _timing(batched.seconds, runs["batched"], n),
+        "speedup": scalar.seconds / batched.seconds,
         "counters_match": True,
-        "cpu_hit_ratio": round(hits / timed, 4) if timed else 0.0,
-        "remote_fetches": fp["agent"].get("remote_fetches", 0),
-        "pages_evicted": fp["eviction"]["pages_evicted"],
-        "elapsed_ns": fp["elapsed_ns"],
+        "cpu_hit_ratio": round(hits / (hits + misses), 4)
+        if hits + misses else 0.0,
+        "cache_misses": misses,
+        "remote_fetches": timed["remote_fetches"],
+        "pages_evicted": timed["pages_evicted"],
+        "elapsed_ns": scalar.fingerprint["elapsed_ns"],
     }
+
+
+def _overhead_result(case: RuntimeBenchCase, best: Dict[str, Run],
+                     name: str, runs: Dict[str, int]) -> Dict[str, object]:
+    """The ``capture`` or ``fleet`` section: its replay against the
+    plain batched replay of the same case, and its fault log.
+
+    ``fault_records`` counts every miss the runtime served, the
+    warm-up's included, since the instrument is attached before it.
+    """
+    run, plain = best[name], best["batched"]
+    section = {
+        "workload": case.case_label,
+        "num_accesses": run.fingerprint["accesses"],
+        "runs": runs[name],
+        "off_seconds": plain.seconds,
+        "on_seconds": run.seconds,
+        "overhead": run.seconds / plain.seconds,
+        "max_overhead": MAX_OVERHEAD,
+        "fault_records": run.extra["log"].n,
+        "dominant_hop": run.extra["log"].dominant_hop(),
+    }
+    for key in ("snapshot_seconds", "fleet_components"):
+        if key in run.extra:
+            section[key] = run.extra[key]
+    return section
 
 
 def run_streaming_case(num_accesses: int = STREAMING_CASE_ACCESSES,
@@ -455,11 +630,12 @@ def run_streaming_case(num_accesses: int = STREAMING_CASE_ACCESSES,
         t0 = time.perf_counter()
         report2 = rt2.run_trace(addrs, writes)
         monolithic_s = time.perf_counter() - t0
-        if streamed_fp != runtime_fingerprint(rt2, report2):
+        diff = _fingerprint_diff(streamed_fp,
+                                 runtime_fingerprint(rt2, report2))
+        if diff:
             raise SimulationError(
-                "streamed replay diverged from monolithic run_trace: "
-                + _fingerprint_diff(streamed_fp,
-                                    runtime_fingerprint(rt2, report2)))
+                f"streamed replay diverged from monolithic run_trace: "
+                f"fingerprint sections {diff} differ")
     return {
         "workload": "hot-mix-stream",
         "num_accesses": num_accesses,
@@ -477,36 +653,47 @@ def run_runtime_bench(quick: bool = False,
                       ) -> Dict[str, object]:
     """Run the end-to-end runtime suite; returns the report payload.
 
-    ``streaming`` adds the columnar streaming scale point (defaults to
-    on for full runs, off for ``--quick``).
+    The first case is the canonical one: it also runs the capture-on
+    and fleet-on variants, reported as the ``capture`` and ``fleet``
+    sections.  ``streaming`` adds the columnar streaming scale point
+    (defaults to on for full runs, off for ``--quick``).
     """
     if cases is None:
         cases = (RUNTIME_QUICK_CASES if quick
                  else (RUNTIME_CANONICAL_CASE, *RUNTIME_EXTRA_CASES))
     if streaming is None:
         streaming = not quick
-    scalar_runs = 1 if quick else 2
-    batched_runs = 2 if quick else 4
-    case_results = [run_runtime_case(c, scalar_runs, batched_runs)
-                    for c in cases]
-    canonical = next(
-        (c for c in case_results
-         if c["workload"] == RUNTIME_CANONICAL_CASE.workload),
-        case_results[0])
+    results = []
+    sections: Dict[str, Dict[str, object]] = {}
+    for case in cases:
+        if results:
+            runs = RUNTIME_RUNS
+            best = measure_variants(case, (SCALAR, BATCHED), runs)
+        else:
+            runs = CANONICAL_RUNS
+            best = measure_variants(
+                case, (SCALAR, BATCHED, CAPTURE, FLEET), runs)
+            sections = {name: _overhead_result(case, best, name, runs)
+                        for name in ("capture", "fleet")}
+        results.append(_engine_result(case, best, runs))
     payload = {
         "benchmark": "kona-runtime-engine-bench",
-        "version": 1,
+        "version": 2,
         "quick": quick,
-        "methodology": ("best-of-N wall time per run_trace engine on "
-                        "identical traces, fresh runtime per run, "
-                        "untimed hot-set warmup where the case defines "
-                        "one; full cross-layer state fingerprints "
-                        "verified equal"),
+        "methodology": ("best-of-N wall time per variant (scalar and "
+                        "batched engines; capture-on and fleet-on on "
+                        "the canonical case), runs interleaved on one "
+                        "trace, fresh runtime per run after an untimed "
+                        "hot-set warm-up where the case defines one; "
+                        "every run's cross-layer fingerprint verified "
+                        "equal and every miss captured; counters are "
+                        "deltas across the timed replay"),
         "host": host_metadata(),
         "created_unix": int(time.time()),
-        "cases": case_results,
-        "canonical_workload": canonical["workload"],
-        "canonical_speedup": canonical["speedup"],
+        "cases": results,
+        "canonical_workload": results[0]["workload"],
+        "canonical_speedup": results[0]["speedup"],
+        **sections,
     }
     if streaming:
         payload["streaming"] = run_streaming_case()
@@ -521,128 +708,39 @@ def write_bench(payload: Dict[str, object], path: str = BENCH_FILENAME) -> str:
     return path
 
 
-def history_record(payload: Dict[str, object]) -> Dict[str, object]:
-    """Compact one-line form of a bench payload for the history log.
-
-    Keeps the host fingerprint and per-case speedups (what the perf
-    gate compares) and drops the bulky per-level counters, so the log
-    stays greppable and cheap to append forever.
-    """
-    cases = []
-    for case in payload["cases"]:
-        fast = "batched" if "batched" in case else "vectorized"
-        cases.append({
-            "workload": case["workload"],
-            "num_accesses": case["num_accesses"],
-            "speedup": case["speedup"],
-            "scalar_seconds": case["scalar"]["seconds"],
-            f"{fast}_seconds": case[fast]["seconds"],
-        })
-    record = {
-        "benchmark": payload["benchmark"],
-        "version": payload["version"],
-        "quick": payload["quick"],
-        "created_unix": payload["created_unix"],
-        "host": payload["host"],
-        "cases": cases,
-        "canonical_workload": payload["canonical_workload"],
-        "canonical_speedup": payload["canonical_speedup"],
-    }
-    streaming = payload.get("streaming")
-    if streaming is not None:
-        record["streaming"] = {
-            "workload": streaming["workload"],
-            "num_accesses": streaming["num_accesses"],
-            "streamed_seconds": streaming["streamed_seconds"],
-            "maccesses_per_s": streaming["maccesses_per_s"],
-        }
-    return record
-
-
-def append_history(payload: Dict[str, object],
-                   path: str = HISTORY_FILENAME) -> str:
-    """Append one history record for this bench run; returns the path.
-
-    The log is append-only JSONL under ``benchmarks/out/`` so
-    ``repro perfdiff`` and the CI perf gate have a run-over-run
-    baseline source beyond the committed ``BENCH_*.json`` snapshots.
-    """
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "a") as fh:
-        fh.write(json.dumps(history_record(payload), sort_keys=True))
-        fh.write("\n")
-    return path
-
-
-def load_history(path: str = HISTORY_FILENAME,
-                 benchmark: Optional[str] = None) -> List[Dict[str, object]]:
-    """All history records (optionally one benchmark's), oldest first."""
-    if not os.path.exists(path):
-        return []
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if benchmark is None or record.get("benchmark") == benchmark:
-                records.append(record)
-    return records
-
-
-#: Per-case speedup floors for the miss-heavy workload-model cases.
-#: These ride the fused miss lane, which must beat the
-#: scalar oracle outright — not merely avoid losing to it — so their
-#: floors sit above the generic ``min_case_speedup`` of 1.0x.  The
-#: values are deliberately well under the measured speedups (~2x on
-#: the reference host) to absorb CI-runner noise while still catching
-#: a real miss-lane regression, which shows up as a collapse toward
-#: parity with the scalar engine.
-RUNTIME_CASE_FLOORS: Dict[str, float] = {
-    "page-rank": 1.3,
-    "voltdb-tpcc": 1.3,
-    "page-rank-miss": 1.3,
-}
-
-
 def check_speedup(payload: Dict[str, object], min_speedup: float,
-                  min_case_speedup: float = 1.0,
-                  case_floors: Optional[Dict[str, float]] = None,
+                  floors: Optional[Dict[RuntimeBenchCase, float]] = None,
                   ) -> List[str]:
-    """Regression gate: canonical speedup must reach ``min_speedup``,
-    and *every* committed case must reach ``min_case_speedup`` — the
-    batched engine being slower than the oracle anywhere is a
-    regression no canonical-case win excuses.
+    """Regression gate over a bench payload; returns failure messages
+    (empty when the gate passes).
 
-    ``case_floors`` maps case labels to per-case floors that override
-    ``min_case_speedup`` (it defaults to :data:`RUNTIME_CASE_FLOORS`,
-    which raises the bar for the miss-heavy miss-lane cases).
-
-    Returns a list of failure messages (empty when the gate passes).
+    The canonical speedup must reach ``min_speedup``.  With ``floors``
+    (the runtime suite passes :data:`RUNTIME_FLOORS`), every case must
+    have a floor of its own — derived for that exact case, same trace
+    and same size — and reach it; without, every case must at least
+    reach parity.  The ``capture`` and ``fleet`` sections must stay
+    within :data:`MAX_OVERHEAD`.
     """
-    if case_floors is None:
-        case_floors = RUNTIME_CASE_FLOORS
     failures = []
     got = payload["canonical_speedup"]
     if got < min_speedup:
         failures.append(
             f"canonical speedup {got:.2f}x below required {min_speedup}x")
     for case in payload.get("cases", ()):
-        floor = max(min_case_speedup,
-                    case_floors.get(case["workload"], min_case_speedup))
+        name = f"{case['workload']} ({case['num_accesses']:,} accesses)"
+        floor = 1.0
+        if floors is not None:
+            floor = floors.get(RuntimeBenchCase(**case["case"]))
+            if floor is None:
+                failures.append(f"{name} has no floor for this exact case")
+                continue
         if case["speedup"] < floor:
+            failures.append(f"{name} speedup {case['speedup']:.2f}x below "
+                            f"its floor {floor}x")
+    for name in ("capture", "fleet"):
+        section = payload.get(name)
+        if section is not None and section["overhead"] > MAX_OVERHEAD:
             failures.append(
-                f"{case['workload']} speedup {case['speedup']:.2f}x below "
-                f"required {floor}x")
-        if not case.get("counters_match", False):
-            failures.append(f"{case['workload']} counters diverged "
-                            f"between engines")
-    streaming = payload.get("streaming")
-    if streaming is not None and not streaming.get(
-            "fingerprint_matches_monolithic", False):
-        failures.append("streamed replay fingerprint diverged from "
-                        "monolithic run_trace")
+                f"{name} overhead {section['overhead']:.3f}x exceeds the "
+                f"{MAX_OVERHEAD:.2f}x budget")
     return failures

@@ -1,46 +1,24 @@
-"""Causal fault attribution: campaigns, reports, and the overhead gate.
+"""Causal fault attribution: campaigns and reports.
 
 This driver turns the causal capture plane
-(:mod:`repro.obs.causal`) into the two artifacts the observability
-story is judged by:
-
-* **attribution** — re-run the memnode-failover durability campaign
-  with capture attached and reduce its fault log to an explanation:
-  which hop (directory, fabric, memnode, replication) dominates the
-  stall budget, which pages and nodes are hot, where the tail
-  anomalies sit, and the slowest individual fault chains with their
-  per-hop breakdown.  During the outage window the tail must move
-  from the memnode hop to the fabric/replication hops — the lease
-  fence and failover wait are *visible in the data*, not inferred.
-* **the overhead contract** — capture must observe without
-  perturbing.  :func:`measure_capture_overhead` interleaves
-  capture-on and capture-off runs of the canonical hot-mix case,
-  proves the full cross-layer fingerprints bit-equal, and gates the
-  wall-clock ratio at :data:`MAX_CAPTURE_OVERHEAD` (the CI
-  ``faults-smoke`` job enforces it; the committed report is
-  ``BENCH_causal.json``).
+(:mod:`repro.obs.causal`) into an explanation: it re-runs the
+memnode-failover durability campaign with capture attached and
+reduces its fault log to which hop (directory, fabric, memnode,
+replication) dominates the stall budget, which pages and nodes are
+hot, where the tail anomalies sit, and the slowest individual fault
+chains with their per-hop breakdown.  During the outage window the
+tail must move from the memnode hop to the fabric/replication hops —
+the lease fence and failover wait are *visible in the data*, not
+inferred.  Capture's overhead and invisibility are measured by the
+runtime bench (:func:`repro.experiments.bench.measure_variants`).
 """
 
 from __future__ import annotations
 
-import json
-import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
-import numpy as np
-
-from ..common.errors import SimulationError
 from ..obs.causal import FaultLog, tail_anomalies
-from .bench import (RUNTIME_CANONICAL_CASE, RuntimeBenchCase, _build_runtime,
-                    _case_trace, host_metadata, runtime_fingerprint)
 from .failover import FailoverResult, run_failover
-
-#: Default report filename (capture-overhead suite).
-CAUSAL_BENCH_FILENAME = "BENCH_causal.json"
-
-#: The observability tax ceiling: capture-on wall clock may cost at
-#: most this factor of capture-off on the canonical hot-mix case.
-MAX_CAPTURE_OVERHEAD = 1.15
 
 
 def run_fault_campaign(seed: int = 0, ops: int = 20_000,
@@ -98,115 +76,3 @@ def attribution_report(log: FaultLog, top: int = 10) -> Dict[str, Any]:
         "tail_anomalies": anomalies[:top],
         "top_faults": [_exemplar_row(ex) for ex in log.exemplars[:top]],
     }
-
-
-def measure_capture_overhead(case: RuntimeBenchCase = RUNTIME_CANONICAL_CASE,
-                             runs: int = 3) -> Dict[str, Any]:
-    """Time capture-on vs capture-off on one case; prove bit-identity.
-
-    Methodology mirrors the engine bench: fresh runtime per run,
-    untimed hot-set warmup, interleaved schedule so machine-load
-    phases hit both modes, best-of-N wall time.  Before the ratio is
-    trusted the full cross-layer fingerprints of the two modes are
-    compared — capture changing *any* counter, account, bitmap bit or
-    the elapsed clock fails the benchmark outright.
-    """
-    warm_addrs, warm_writes, addrs0, writes, mem_bytes, n = _case_trace(case)
-    runs = max(runs, 1)
-    timings = {"off": float("inf"), "on": float("inf")}
-    fingerprints: Dict[str, Dict[str, Any]] = {}
-    log: Optional[FaultLog] = None
-    schedule = [mode for _ in range(runs) for mode in ("off", "on")]
-    for mode in schedule:
-        rt = _build_runtime(case)
-        region = rt.mmap(mem_bytes)
-        base = np.int64(region.start)
-        cap = rt.attach_causal_capture() if mode == "on" else None
-        if warm_addrs is not None:
-            rt.run_trace(warm_addrs + base, warm_writes)
-        addrs = addrs0 + base
-        t0 = time.perf_counter()
-        report = rt.run_trace(addrs, writes)
-        timings[mode] = min(timings[mode], time.perf_counter() - t0)
-        fingerprints[mode] = runtime_fingerprint(rt, report)
-        if cap is not None:
-            log = cap.log
-
-    if fingerprints["on"] != fingerprints["off"]:
-        diverged = [k for k in fingerprints["off"]
-                    if fingerprints["off"][k] != fingerprints["on"][k]]
-        raise SimulationError(
-            f"capture perturbed the simulation: fingerprint sections "
-            f"diverged: {diverged}")
-    assert log is not None
-    misses = fingerprints["off"]["runtime"].get("cache_misses", 0)
-    if log.n != misses:
-        raise SimulationError(
-            f"capture coverage hole: {log.n} fault records vs "
-            f"{misses} cache misses")
-    overhead = timings["on"] / timings["off"]
-    return {
-        "workload": case.case_label,
-        "num_accesses": n,
-        "warmup_accesses": 0 if warm_addrs is None else int(warm_addrs.size),
-        "seed": case.seed,
-        "runs": runs,
-        "off_seconds": timings["off"],
-        "on_seconds": timings["on"],
-        "overhead": overhead,
-        "max_overhead": MAX_CAPTURE_OVERHEAD,
-        "within_budget": overhead <= MAX_CAPTURE_OVERHEAD,
-        "fingerprint_matches": True,
-        "fault_records": log.n,
-        "records_match_misses": True,
-        "dominant_hop": log.dominant_hop(),
-        "hop_totals_ns": {h: round(v, 2)
-                          for h, v in log.hop_totals().items()},
-    }
-
-
-def run_causal_bench(case: RuntimeBenchCase = RUNTIME_CANONICAL_CASE,
-                     runs: int = 3) -> Dict[str, Any]:
-    """The committed capture-overhead report payload."""
-    return {
-        "benchmark": "kona-causal-capture-bench",
-        "version": 1,
-        "methodology": ("best-of-N wall time, capture-on vs capture-off "
-                        "interleaved on identical traces, fresh runtime "
-                        "per run; cross-layer fingerprints verified "
-                        "bit-equal between modes"),
-        "host": host_metadata(),
-        "created_unix": int(time.time()),
-        "case": measure_capture_overhead(case, runs=runs),
-    }
-
-
-def check_capture_overhead(payload: Dict[str, Any],
-                           max_overhead: float = MAX_CAPTURE_OVERHEAD
-                           ) -> List[str]:
-    """Regression gate over a causal bench payload.
-
-    Returns failure messages (empty when the gate passes): the
-    overhead ratio must stay under ``max_overhead`` and the bit-
-    identity checks must have held.
-    """
-    failures = []
-    case = payload["case"]
-    if case["overhead"] > max_overhead:
-        failures.append(
-            f"capture overhead {case['overhead']:.3f}x exceeds the "
-            f"{max_overhead:.2f}x budget")
-    if not case.get("fingerprint_matches", False):
-        failures.append("capture-on fingerprint diverged from capture-off")
-    if not case.get("records_match_misses", False):
-        failures.append("fault record count diverged from cache misses")
-    return failures
-
-
-def write_causal_bench(payload: Dict[str, Any],
-                       path: str = CAUSAL_BENCH_FILENAME) -> str:
-    """Write the report JSON; returns the path."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return path

@@ -21,11 +21,8 @@ from .analysis import (
     top_stalls,
 )
 from .diff import (
-    BenchDelta,
     DiffEntry,
     DiffReport,
-    bench_regressions,
-    diff_bench,
     diff_runs,
     load_artifact,
     run_artifact,
@@ -60,7 +57,6 @@ from .tsdb import TimeSeriesStore
 
 __all__ = [
     "Alert",
-    "BenchDelta",
     "CausalCapture",
     "ComponentSnapshot",
     "CounterMetric",
@@ -83,14 +79,12 @@ __all__ = [
     "SpanStat",
     "TimeSeriesStore",
     "Tracer",
-    "bench_regressions",
     "build_forest",
     "chrome_trace",
     "component_pid",
     "critical_path",
     "dashboard_html",
     "dashboard_text",
-    "diff_bench",
     "diff_runs",
     "fault_chain_trace",
     "iter_jsonl",

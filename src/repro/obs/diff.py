@@ -1,27 +1,16 @@
-"""Run-to-run performance diff with configurable noise thresholds.
+"""Run-to-run diff with configurable noise thresholds.
 
-Two halves, one report shape:
-
-* **Run artifacts** — :func:`run_artifact` freezes one finished run
-  (a :class:`~repro.obs.recorder.FlightRecorder`, optionally plus its
-  :class:`~repro.obs.analysis.ProfileReport`) into a plain JSON dict:
-  every numeric counter/gauge, every histogram's summary snapshot, and
-  per-span/per-category self times.  :func:`diff_runs` compares two
-  artifacts — scalar vs batched engine, before vs after a PR, two
-  seeds — and classifies each delta as significant or noise against
-  relative/absolute thresholds.  Two identical-seed runs must diff to
-  *zero* significant entries; that property is the regression tests'
-  anchor.
-
-* **Benchmark baselines** — :func:`diff_bench` compares a freshly
-  measured bench payload (or a ``history.jsonl`` record; see
-  :func:`repro.experiments.bench.append_history`) against a committed
-  ``BENCH_*.json`` baseline, case by case, and returns the regressions
-  beyond a speedup tolerance.  This is the CI perf gate.
-
-Only *relative* wall-clock quantities (speedups) are gated — absolute
-seconds vary across hosts; the committed baseline carries its host
-fingerprint so a cross-host comparison is visible in the report.
+:func:`run_artifact` freezes one finished run (a
+:class:`~repro.obs.recorder.FlightRecorder`, optionally plus its
+:class:`~repro.obs.analysis.ProfileReport`) into a plain JSON dict:
+every numeric counter/gauge, every histogram's summary snapshot, and
+per-span/per-category self times.  :func:`diff_runs` compares two
+artifacts — scalar vs batched engine, before vs after a change, two
+seeds — and classifies each delta as significant or noise against
+relative/absolute thresholds.  Two identical-seed runs must diff to
+*zero* significant entries; that property is the regression tests'
+anchor.  (Wall-clock speedups are gated by ``repro bench``; see
+:func:`repro.experiments.bench.check_speedup`.)
 """
 
 from __future__ import annotations
@@ -193,79 +182,3 @@ def diff_runs(before: Dict[str, Any], after: Dict[str, Any],
              before.get("category_self_time_ns", {}),
              after.get("category_self_time_ns", {}))
     return report
-
-
-# -- benchmark baseline gate ---------------------------------------------------
-
-
-def _bench_cases(payload: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """Per-workload case dicts of a bench payload or history record."""
-    return {case["workload"]: case for case in payload.get("cases", [])}
-
-
-@dataclass(frozen=True)
-class BenchDelta:
-    """One workload's speedup, measured vs baseline."""
-
-    workload: str
-    baseline_speedup: float
-    current_speedup: float
-    tolerance: float
-
-    @property
-    def floor(self) -> float:
-        """Minimum acceptable speedup for this workload."""
-        return self.baseline_speedup * (1.0 - self.tolerance)
-
-    @property
-    def regressed(self) -> bool:
-        """Whether the measured speedup fell below the floor."""
-        return self.current_speedup < self.floor
-
-    def row(self) -> Tuple[str, float, float, float, str]:
-        """A render-ready table row."""
-        return (self.workload, round(self.baseline_speedup, 2),
-                round(self.current_speedup, 2), round(self.floor, 2),
-                "REGRESSED" if self.regressed else "ok")
-
-
-def diff_bench(baseline: Dict[str, Any], current: Dict[str, Any],
-               tolerance: float = 0.5) -> List[BenchDelta]:
-    """Compare per-case speedups of two bench payloads.
-
-    ``tolerance`` is the allowed *fractional drop* from the committed
-    baseline — 0.5 tolerates shared-runner noise down to half the
-    committed speedup; 0.0 demands parity.  Workloads present only in
-    one payload are skipped (suites may grow cases over time); the
-    benchmark names must match, because comparing the kcachesim suite
-    against the runtime suite is never meaningful.
-    """
-    if not 0.0 <= tolerance < 1.0:
-        raise ConfigError(f"tolerance must be in [0, 1), got {tolerance}")
-    name_a = baseline.get("benchmark")
-    name_b = current.get("benchmark")
-    if name_a != name_b:
-        raise ConfigError(
-            f"benchmark mismatch: baseline is {name_a!r}, "
-            f"current is {name_b!r}")
-    base_cases = _bench_cases(baseline)
-    cur_cases = _bench_cases(current)
-    deltas = []
-    for workload in sorted(set(base_cases) & set(cur_cases)):
-        deltas.append(BenchDelta(
-            workload=workload,
-            baseline_speedup=float(base_cases[workload]["speedup"]),
-            current_speedup=float(cur_cases[workload]["speedup"]),
-            tolerance=tolerance))
-    if not deltas:
-        raise ConfigError("no common workloads between baseline and "
-                          "current bench payloads")
-    return deltas
-
-
-def bench_regressions(deltas: List[BenchDelta]) -> List[str]:
-    """Failure messages for regressed cases (empty = gate passes)."""
-    return [f"{d.workload}: speedup {d.current_speedup:.2f}x below "
-            f"floor {d.floor:.2f}x (baseline {d.baseline_speedup:.2f}x, "
-            f"tolerance {d.tolerance:.0%})"
-            for d in deltas if d.regressed]

@@ -67,8 +67,7 @@ class TestExecution:
 
     def test_bench_quick_writes_report(self, capsys, tmp_path):
         out_path = tmp_path / "bench.json"
-        assert main(["bench", "--quick", "--output", str(out_path),
-                     "--history", "none"]) == 0
+        assert main(["bench", "--quick", "--output", str(out_path)]) == 0
         out = capsys.readouterr().out
         assert "uniform-stress" in out and "speedup" in out
         assert out_path.exists()
@@ -77,19 +76,7 @@ class TestExecution:
         out_path = tmp_path / "bench.json"
         with pytest.raises(SystemExit):
             main(["bench", "--quick", "--output", str(out_path),
-                  "--history", "none", "--min-speedup", "1000"])
-
-    def test_bench_history_appended(self, capsys, tmp_path):
-        out_path = tmp_path / "bench.json"
-        history = tmp_path / "history.jsonl"
-        assert main(["bench", "--quick", "--output", str(out_path),
-                     "--history", str(history)]) == 0
-        import json
-        records = [json.loads(line)
-                   for line in history.read_text().splitlines()]
-        assert len(records) == 1
-        assert records[0]["benchmark"] == "kcachesim-engine-bench"
-        assert records[0]["cases"][0]["speedup"] > 0
+                  "--min-speedup", "1000"])
 
     def test_profile_prints_self_time(self, capsys):
         assert main(["profile", "--trace-ops", "2000"]) == 0
@@ -125,28 +112,6 @@ class TestExecution:
         payload = json.loads(report.read_text())
         assert payload["clean"] is False
         assert payload["significant"][0]["name"] == "x"
-
-    def test_perfdiff_bench_gate_from_history(self, capsys, tmp_path):
-        import json
-
-        baseline = {"benchmark": "demo-bench",
-                    "cases": [{"workload": "hot", "speedup": 6.0}]}
-        base_path = tmp_path / "BENCH_demo.json"
-        base_path.write_text(json.dumps(baseline))
-        history = tmp_path / "history.jsonl"
-        history.write_text(json.dumps(
-            {"benchmark": "demo-bench",
-             "cases": [{"workload": "hot", "speedup": 5.0}]}) + "\n")
-        assert main(["perfdiff", "--against", str(base_path),
-                     "--history", str(history)]) == 0
-        assert "perf gate passed" in capsys.readouterr().out
-        history.write_text(json.dumps(
-            {"benchmark": "demo-bench",
-             "cases": [{"workload": "hot", "speedup": 1.0}]}) + "\n")
-        with pytest.raises(SystemExit):
-            main(["perfdiff", "--against", str(base_path),
-                  "--history", str(history)])
-        assert "REGRESSED" in capsys.readouterr().out
 
     def test_slo_prints_alerts_and_verdicts(self, capsys):
         assert main(["slo", "--trace-ops", "4000"]) == 0

@@ -10,10 +10,7 @@ from repro.common.errors import ConfigError
 from repro.experiments.bench import (
     BENCH_FILENAME,
     BenchCase,
-    append_history,
     check_speedup,
-    history_record,
-    load_history,
     run_bench,
     run_case,
     write_bench,
@@ -118,38 +115,6 @@ class TestBench:
         assert check_speedup(payload, 1.5) == []
         failures = check_speedup(payload, 3.0)
         assert len(failures) == 1 and "2.00x" in failures[0]
-
-
-class TestBenchHistory:
-    def test_history_record_is_compact(self):
-        payload = run_bench(quick=True, cases=[SMALL_CASE])
-        record = history_record(payload)
-        assert record["benchmark"] == "kcachesim-engine-bench"
-        assert record["canonical_speedup"] == payload["canonical_speedup"]
-        case = record["cases"][0]
-        assert set(case) == {"workload", "num_accesses", "speedup",
-                             "scalar_seconds", "vectorized_seconds"}
-        # The bulky per-level counters stay out of the log.
-        assert "level_counters" not in case
-
-    def test_append_and_load_roundtrip(self, tmp_path):
-        payload = run_bench(quick=True, cases=[SMALL_CASE])
-        path = str(tmp_path / "out" / "history.jsonl")
-        append_history(payload, path)
-        append_history(payload, path)
-        records = load_history(path)
-        assert len(records) == 2
-        assert records[0]["cases"][0]["speedup"] > 0
-
-    def test_load_filters_by_benchmark(self, tmp_path):
-        payload = run_bench(quick=True, cases=[SMALL_CASE])
-        path = str(tmp_path / "history.jsonl")
-        append_history(payload, path)
-        assert load_history(path, benchmark="kcachesim-engine-bench")
-        assert load_history(path, benchmark="other-bench") == []
-
-    def test_load_missing_file_is_empty(self, tmp_path):
-        assert load_history(str(tmp_path / "absent.jsonl")) == []
 
 
 class TestCommittedBenchReport:

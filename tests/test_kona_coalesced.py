@@ -11,11 +11,13 @@ vs streamed vs sharded replay.  (The module is named for the
 coalesced page-run replay it was written against, since removed.)
 """
 
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
 import repro.common.units as u
-from repro.experiments.bench import (RUNTIME_QUICK_CASES,
+from repro.experiments.bench import (RUNTIME_FLOORS, RUNTIME_QUICK_CASES,
                                      check_speedup, runtime_fingerprint)
 from repro.kona.config import KonaConfig
 from repro.kona.runtime import KonaRuntime
@@ -233,36 +235,44 @@ class TestStreamedAndSharded:
         assert out["batched"] == out["scalar"]
 
 
+def gate_entry(case, speedup):
+    """A runtime report entry for ``case`` measured at ``speedup``."""
+    config = {k: v for k, v in asdict(case).items() if k != "label"}
+    return {"workload": case.case_label, "case": config,
+            "num_accesses": case.num_accesses, "speedup": speedup}
+
+
 class TestPerfGateFloors:
+    LABELS = {case.case_label: case for case in RUNTIME_QUICK_CASES}
+
     def test_quick_suite_has_miss_heavy_canonical_case(self):
-        labels = {case.case_label: case for case in RUNTIME_QUICK_CASES}
-        case = labels["page-rank-miss"]
+        case = self.LABELS["page-rank-miss"]
         assert case.workload == "page-rank"
         assert case.num_accesses == 150_000
         assert case.seed == 7
         assert case.fmem_mb == 8
 
     def test_miss_heavy_cases_gate_above_parity(self):
+        miss = self.LABELS["page-rank-miss"]
+        floor = RUNTIME_FLOORS[replace(miss, label=None)]
+        assert floor > 1.0
         payload = {
-            "canonical_speedup": 9.0,
-            "cases": [
-                {"workload": "hot-mix", "speedup": 9.0,
-                 "counters_match": True},
-                {"workload": "page-rank-miss", "speedup": 1.1,
-                 "counters_match": True},
-            ],
+            "canonical_speedup": 20.0,
+            "cases": [gate_entry(self.LABELS["hot-mix"], 20.0),
+                      gate_entry(miss, 1.1)],
         }
-        failures = check_speedup(payload, 1.0)
-        assert len(failures) == 1
-        assert "page-rank-miss" in failures[0] and "1.3x" in failures[0]
-        # An explicit floor map overrides the default miss-heavy bars.
-        assert check_speedup(payload, 1.0, case_floors={}) == []
+        assert check_speedup(payload, 1.0, RUNTIME_FLOORS) == [
+            f"page-rank-miss (150,000 accesses) speedup 1.10x below its "
+            f"floor {floor}x"]
 
     def test_generic_floor_still_applies(self):
+        """Without a floor table (the kcachesim suite) every case must
+        still reach parity."""
         payload = {
             "canonical_speedup": 9.0,
-            "cases": [{"workload": "hot-mix", "speedup": 0.9,
-                       "counters_match": True}],
+            "cases": [{"workload": "uniform-stress",
+                       "num_accesses": 150_000, "speedup": 0.9}],
         }
-        failures = check_speedup(payload, 1.0)
-        assert len(failures) == 1 and "hot-mix" in failures[0]
+        assert check_speedup(payload, 1.0) == [
+            "uniform-stress (150,000 accesses) speedup 0.90x below its "
+            "floor 1.0x"]

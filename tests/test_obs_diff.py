@@ -1,4 +1,4 @@
-"""Tests for the run-to-run diff and the bench baseline gate."""
+"""Tests for the run-to-run diff."""
 
 import math
 
@@ -12,8 +12,6 @@ from repro.kona.runtime import KonaRuntime
 from repro.obs import (
     DiffEntry,
     FlightRecorder,
-    bench_regressions,
-    diff_bench,
     diff_runs,
     load_artifact,
     profile,
@@ -126,45 +124,3 @@ class TestArtifacts:
         path.write_text('{"benchmark": "something-else"}\n')
         with pytest.raises(ConfigError):
             load_artifact(str(path))
-
-
-def bench_payload(speedups, benchmark="kona-runtime-engine-bench"):
-    return {"benchmark": benchmark,
-            "cases": [{"workload": w, "speedup": s}
-                      for w, s in speedups.items()]}
-
-
-class TestDiffBench:
-    def test_within_tolerance_passes(self):
-        deltas = diff_bench(bench_payload({"hot-mix": 6.0}),
-                            bench_payload({"hot-mix": 4.0}), tolerance=0.5)
-        assert not deltas[0].regressed
-        assert bench_regressions(deltas) == []
-
-    def test_regression_detected(self):
-        deltas = diff_bench(bench_payload({"hot-mix": 6.0}),
-                            bench_payload({"hot-mix": 2.0}), tolerance=0.5)
-        assert deltas[0].regressed
-        assert deltas[0].floor == pytest.approx(3.0)
-        assert "hot-mix" in bench_regressions(deltas)[0]
-
-    def test_only_common_workloads_compared(self):
-        deltas = diff_bench(
-            bench_payload({"hot-mix": 6.0, "old-case": 2.0}),
-            bench_payload({"hot-mix": 6.0, "new-case": 9.0}))
-        assert [d.workload for d in deltas] == ["hot-mix"]
-
-    def test_benchmark_mismatch_raises(self):
-        with pytest.raises(ConfigError):
-            diff_bench(bench_payload({"a": 1.0}, benchmark="x"),
-                       bench_payload({"a": 1.0}, benchmark="y"))
-
-    def test_no_common_workloads_raises(self):
-        with pytest.raises(ConfigError):
-            diff_bench(bench_payload({"a": 1.0}),
-                       bench_payload({"b": 1.0}))
-
-    def test_invalid_tolerance_raises(self):
-        with pytest.raises(ConfigError):
-            diff_bench(bench_payload({"a": 1.0}),
-                       bench_payload({"a": 1.0}), tolerance=1.0)
