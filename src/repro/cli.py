@@ -8,17 +8,20 @@ Usage::
     python -m repro fig8 | fig8d | fig9 | fig10
     python -m repro fig11a | fig11b | fig11c
     python -m repro sections
-    python -m repro chaos [--seed 0] [--ops 30000]
+    python -m repro chaos [--seed 0] [--ops 40000]
                           [--campaign node-failure|memnode-failover]
                           [--trace-out FILE] [--fleet-out FILE]
                           [--tenant NAME]
     python -m repro dashboard [--from-artifact FLEET.json] [--html FILE]
                               [--fleet-out FILE] [--trace-out FILE]
-                              [--tenant NAME] [--seed 0] [--ops 40000]
+                              [--prom FILE] [--tenant NAME]
+                              [--seed 0] [--ops 40000]
+    python -m repro perfdiff [--run-a FLEET.json --run-b FLEET.json]
+                             [--seed 0] [--trace-ops 8000]
+                             [--rel-tol 0.01] [--report FILE]
     python -m repro sweep [--processes N] [--ops 40000]
     python -m repro bench [--suite kcachesim|runtime] [--quick]
                           [--min-speedup 1.0] [--output FILE]
-    python -m repro trace [--out trace.json] [--prom FILE] [--jsonl FILE]
     python -m repro trace-gen --out DIR [--accesses N] [--chunk N]
                               [--hot-lines N] [--cold-fraction F]
                               [--region-mb MB] [--write-fraction F]
@@ -28,12 +31,6 @@ Usage::
                                  [--engine batched|scalar]
                                  [--processes N] [--rss-ceiling-mb MB]
                                  [--fleet-out FILE] [--tenant NAME]
-    python -m repro faults [--seed 0] [--ops 20000] [--top 10]
-                           [--json FILE] [--trace-out FILE]
-    python -m repro profile [--top 10] [--window-us 100]
-    python -m repro perfdiff [--run-a A.json --run-b B.json]
-                             [--report FILE]
-    python -m repro slo [--seed 0] [--trace-ops 8000]
     python -m repro all
 
 Each command prints the regenerated rows/series next to the paper's
@@ -41,6 +38,12 @@ reference values.  ``bench --suite runtime --min-speedup X`` is the
 perf gate: it fails when the canonical speedup is below X, when any
 case is below the floor derived for that exact case (or has none),
 and when capture or fleet overhead exceeds its 1.15x budget.
+
+Observability has one run artifact and one report.  ``chaos`` runs a
+monitored campaign and can save its fleet artifact (``--fleet-out``)
+and Chrome trace (``--trace-out``); ``dashboard`` renders a fleet
+artifact (SLOs, health, fault attribution, trace profile) and
+``perfdiff`` compares two.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from typing import Any, Callable, Dict, List
 
 from . import units
 from .analysis import paper, render_comparison, render_series, render_table
+from .common.errors import ConfigError
 from .experiments import (
     run_chaos,
     run_failover,
@@ -78,22 +82,14 @@ from .experiments.bench import (
     run_runtime_bench,
     write_bench,
 )
-from .experiments.control import (
-    STALL_CATEGORIES,
-    run_control,
-)
 from .experiments.fig8 import SYSTEMS, best_block
-from .experiments.flight import instant_summary, run_flight, span_summary
 from .experiments.sweep import run_sweep, sweep_grid
 from .obs import (
-    critical_path,
+    FleetRecorder,
     diff_runs,
-    load_artifact,
-    profile,
-    run_artifact,
-    stall_windows,
-    top_stalls,
-    validate_chrome_trace,
+    fleet_view,
+    prometheus_text,
+    write_chrome_trace,
 )
 
 
@@ -220,59 +216,108 @@ def cmd_sections(args: argparse.Namespace) -> None:
 
 def cmd_chaos(args: argparse.Namespace) -> None:
     """Section 4.5 chaos campaigns: node failure or memnode failover."""
+    keep = bool(args.trace_out or args.fleet_out)
     if args.campaign == "memnode-failover":
-        _chaos_failover(args)
+        _chaos_failover(args, keep)
         return
-    result = run_chaos(seed=args.seed, ops=args.ops)
-    print(render_table(
-        ["t (us)", "event"],
-        [(round(t / 1e3, 1), label) for t, label in result.timeline],
-        title=f"Chaos campaign timeline (seed {result.seed})"))
-    print()
+    run = run_chaos(seed=args.seed, ops=args.ops,
+                    tracing=args.trace_out is not None, fleet=keep,
+                    tenant=args.tenant)
+    result = run.result
+    _print_timeline("Chaos campaign timeline", result)
     print(render_table(["metric", "value"], result.rows(),
                        title="Campaign result"))
-    health = result.telemetry.data["health"]
     print()
     print(render_table(
-        ["counter", "value"], sorted(health.items()),
+        ["counter", "value"], sorted(result.telemetry.data["health"].items()),
         title="Health telemetry"))
-    verdict = "held" if result.passed else "VIOLATED"
-    print(f"\nRecovery invariants {verdict}.")
-    if not result.passed:
+    _print_slos(run.engine)
+    _save_run(run.fleet, args)
+    print(f"\nRecovery invariants {'held' if run.passed else 'VIOLATED'}.")
+    explained = run.degraded_alerts()
+    if explained:
+        print(f"DEGRADED transition explained by: {explained[0]}")
+    else:
+        print("FAIL: no burn-rate alert attached to a DEGRADED "
+              "transition — the control tower was blind to the outage")
+    if not (run.passed and explained):
         raise SystemExit(1)
 
 
-def _chaos_failover(args: argparse.Namespace) -> None:
+def _chaos_failover(args: argparse.Namespace, keep: bool) -> None:
     """The replicated memnode-failover durability campaign."""
-    fleet_out = getattr(args, "fleet_out", None)
     failover = run_failover(seed=args.seed, ops=args.ops,
                             tracing=args.trace_out is not None,
-                            capture=fleet_out is not None,
-                            fleet=fleet_out is not None,
-                            tenant=getattr(args, "tenant", None))
-    result = failover.result
-    print(render_table(
-        ["t (us)", "event"],
-        [(round(t / 1e3, 1), label) for t, label in result.timeline],
-        title=f"Failover campaign timeline (seed {result.seed})"))
-    print()
+                            capture=args.fleet_out is not None,
+                            fleet=keep, tenant=args.tenant)
+    _print_timeline("Failover campaign timeline", failover.result)
     print(render_table(["metric", "value"], failover.rows(),
                        title="Durability proof"))
-    print()
-    print(render_table(
-        ["rule", "objective", "good fraction", "verdict"],
-        failover.verdict_rows(), title="Failover SLOs"))
-    if args.trace_out:
-        path = failover.recorder.write_chrome_trace(args.trace_out)
-        print(f"\nchrome trace: {path}")
-    if fleet_out:
-        print(f"\nfleet artifact: {failover.fleet.save(fleet_out)} "
-              f"({len(failover.fleet.members)} components) — render with "
-              f"`python -m repro dashboard --from-artifact {fleet_out}`")
+    _print_slos(failover.engine)
+    _save_run(failover.fleet, args)
     verdict = ("held — final image bit-identical to the no-fault oracle"
                if failover.passed else "VIOLATED")
     print(f"\nDurability invariants and SLOs {verdict}.")
     if not failover.passed:
+        raise SystemExit(1)
+
+
+def _print_timeline(title: str, result) -> None:
+    print(render_table(
+        ["t (us)", "event"],
+        [(round(t / 1e3, 1), label) for t, label in result.timeline],
+        title=f"{title} (seed {result.seed})"))
+    print()
+
+
+def _print_slos(engine) -> None:
+    """The campaign's burn-rate alert timeline and SLO verdicts."""
+    alerts = sorted(engine.alerts, key=lambda a: (a.at_ns, a.rule))
+    if alerts:
+        print()
+        print(render_table(
+            ["t (us)", "rule", "burn", "value"],
+            [(round(a.at_ns / 1e3, 1), a.rule,
+              "inf" if a.burn_rate == float("inf")
+              else round(a.burn_rate, 1),
+              round(a.value, 1)) for a in alerts],
+            title="Alert timeline"))
+    print()
+    print(render_table(
+        ["rule", "objective", "good fraction", "verdict"],
+        engine.verdict_rows(), title="SLO compliance"))
+
+
+def _save_run(fleet, args: argparse.Namespace) -> None:
+    """Write the run's Chrome trace and fleet artifact, as asked."""
+    if args.trace_out:
+        _write_trace(fleet, args.trace_out)
+    if args.fleet_out:
+        print(f"\nfleet artifact: {fleet.save(args.fleet_out)} "
+              f"({len(fleet.members)} components) — render with "
+              f"`python -m repro dashboard --from-artifact "
+              f"{args.fleet_out}`")
+
+
+def _write_trace(fleet, path: str) -> None:
+    """The fleet's unified Chrome trace, schema-checked before writing."""
+    payload = fleet.chrome_trace()
+    errors = write_chrome_trace(payload, path)
+    if errors:
+        for msg in errors[:10]:
+            print(f"INVALID: {msg}", file=sys.stderr)
+        raise SystemExit(1)
+    print(f"\nchrome trace: {path} ({len(payload['traceEvents'])} events, "
+          f"one track per component) — open in Perfetto "
+          f"(ui.perfetto.dev) or chrome://tracing")
+
+
+def _load_fleet(path: str) -> FleetRecorder:
+    """A fleet artifact from disk; one clear line and exit 1 if not."""
+    try:
+        return FleetRecorder.load(path)
+    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+        print(f"{path}: cannot load fleet artifact: {exc}", file=sys.stderr)
         raise SystemExit(1)
 
 
@@ -374,6 +419,8 @@ def cmd_trace_gen(args: argparse.Namespace) -> None:
     disk, so 100M+-access traces never occupy RAM.
     """
     from .workloads.trace import generate_hot_mix_stream
+    if args.out is None:
+        raise SystemExit("trace-gen needs --out DIR")
     columnar = generate_hot_mix_stream(
         args.out, args.accesses, hot_lines=args.hot_lines,
         cold_fraction=args.cold_fraction,
@@ -477,186 +524,20 @@ def cmd_trace_replay(args: argparse.Namespace) -> None:
         raise SystemExit(1)
 
 
-def cmd_trace(args: argparse.Namespace) -> None:
-    """Flight recorder: traced chaos campaign -> Chrome trace JSON."""
-    result, recorder = run_flight(seed=args.seed, ops=args.trace_ops)
-    payload = recorder.chrome_trace()
-    errors = validate_chrome_trace(payload)
-    if errors:
-        for msg in errors[:10]:
-            print(f"INVALID: {msg}", file=sys.stderr)
-        raise SystemExit(1)
-    path = recorder.write_chrome_trace(args.out)
-    print(f"chrome trace: {path} ({len(payload['traceEvents'])} events, "
-          f"{recorder.tracer.dropped} dropped) — open in Perfetto "
-          f"(ui.perfetto.dev) or chrome://tracing")
-    if args.prom:
-        print(f"prometheus dump: {recorder.write_prometheus(args.prom)}")
-    if args.jsonl:
-        print(f"jsonl event log: {recorder.write_jsonl(args.jsonl)}")
-    print()
-    print(render_table(
-        ["span", "count", "total us"], span_summary(recorder)[:12],
-        title="Busiest spans"))
-    print()
-    print(render_table(["category", "instants"], instant_summary(recorder),
-                       title="Instant events"))
-    stall = recorder.registry.get("kona_access_stall_ns")
-    if stall is not None and stall.count:
-        print(f"\naccess stall ns: p50 {stall.p50:.0f}  "
-              f"p95 {stall.p95:.0f}  p99 {stall.p99:.0f}  "
-              f"({stall.count} misses)")
-    health = result.telemetry.data["health"]
-    print(f"MTTR: {health['mttr_ns'] / 1e3:.1f} us over "
-          f"{health['degradations']} degradation(s)")
-
-
-def cmd_faults(args: argparse.Namespace) -> None:
-    """Causal fault attribution: hop breakdowns, hot maps, tail windows."""
-    from .experiments.faults import attribution_report, run_fault_campaign
-    from .obs.export import fault_chain_trace
-
-    failover = run_fault_campaign(seed=args.seed, ops=args.ops)
-    log = failover.fault_log
-    report = attribution_report(log, top=args.top)
-    summary = report["summary"]
-    degraded = (summary["health"]["degraded"]
-                + summary["health"]["recovering"])
-    print(render_table(
-        ["metric", "value"],
-        [("faults", report["faults"]),
-         ("remote faults", summary["remote_fetches"]),
-         ("fmem-hit faults", summary["fmem_hits"]),
-         ("degraded-window faults", degraded),
-         ("fabric-down faults", summary["fabric_down_faults"]),
-         ("replica-read faults", summary["replica_faults"]),
-         ("dominant hop", report["dominant_hop"]),
-         *((f"stall {q}", f"{v:,} ns")
-           for q, v in report["quantiles_ns"].items())],
-        title=f"Fault attribution (seed {args.seed}, {args.ops} ops)"))
-    print()
-    print(render_table(
-        ["hop", "total stall ns", "dominated in degraded windows"],
-        [(hop, f"{report['hop_totals_ns'][hop]:,}",
-          report["degraded_hop_counts"].get(hop, 0))
-         for hop in ("dir", "fab", "mem", "repl")],
-        title="Per-hop stall budget"))
-    print()
-    print(render_table(
-        ["seq", "page", "node", "health", "total ns",
-         "dir", "fab", "mem", "repl"],
-        [(f["seq"], f["page"], f["node"] or "-", f["health"],
-          f["total_ns"], f["hops_ns"]["dir"], f["hops_ns"]["fab"],
-          f["hops_ns"]["mem"], f["hops_ns"]["repl"])
-         for f in report["top_faults"]],
-        title=f"Top {args.top} slowest faults (hop breakdown)"))
-    print()
-    print(render_table(
-        ["page", "faults"],
-        [(p["page"], p["faults"]) for p in report["hot_pages"]],
-        title="Hot pages by fault count"))
-    print()
-    print(render_table(
-        ["node", "fetches", "stall ns"],
-        [(row["node"], row["fetches"], f"{row['stall_ns']:,}")
-         for row in report["nodes"]],
-        title="Per-node hot map"))
-    if report["tail_anomalies"]:
-        print()
-        print(render_table(
-            ["window", "seq range", "max ns", "score", "dominant hop",
-             "degraded"],
-            [(a["window"], f"{a['start_seq']}-{a['end_seq']}",
-              round(a["max_ns"], 1), round(a["score"], 1),
-              a["dominant_hop"], a["degraded_faults"])
-             for a in report["tail_anomalies"]],
-            title="Tail-anomaly windows (MAD outliers)"))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=False)
-            fh.write("\n")
-        print(f"\nattribution report: {args.json}")
-    if args.trace_out:
-        payload = fault_chain_trace(log, top=args.top)
-        errors = validate_chrome_trace(payload)
-        if errors:
-            for msg in errors[:10]:
-                print(f"INVALID: {msg}", file=sys.stderr)
-            raise SystemExit(1)
-        with open(args.trace_out, "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
-        print(f"fault-chain chrome trace: {args.trace_out} "
-              f"({len(payload['traceEvents'])} events) — open in Perfetto")
-    degraded_doms = report["degraded_hop_counts"]
-    outage_hops = (degraded_doms.get("fab", 0)
-                   + degraded_doms.get("repl", 0))
-    if degraded and not outage_hops:
-        print("\nFAIL: outage-window faults exist but none are dominated "
-              "by the fabric or replication hops — attribution is blind "
-              "to the failover")
-        raise SystemExit(1)
-
-
-def cmd_profile(args: argparse.Namespace) -> None:
-    """Trace profiler: self time, critical path, stall attribution."""
-    _, recorder = run_flight(seed=args.seed, ops=args.trace_ops)
-    report = profile(recorder.tracer.events)
-    span_rows = [(s.key, s.count, round(s.total_ns / 1e3, 1),
-                  round(s.self_ns / 1e3, 1),
-                  f"{s.self_ns / report.total_ns:.1%}")
-                 for s in report.top_spans(args.top)]
-    print(render_table(
-        ["span", "count", "total us", "self us", "self %"], span_rows,
-        title="Self-time profile (heaviest spans)"))
-    print()
-    print(render_table(
-        ["category", "count", "self us"],
-        [(s.key, s.count, round(s.self_ns / 1e3, 1))
-         for s in report.top_categories(args.top)],
-        title="Self time by category"))
-    print()
-    path_rows = [("  " * depth + name, cat, round(start / 1e3, 1),
-                  round(dur / 1e3, 1), round(self_ns / 1e3, 1))
-                 for depth, name, cat, start, dur, self_ns
-                 in critical_path(report.roots)]
-    print(render_table(["span", "cat", "start us", "dur us", "self us"],
-                       path_rows, title="Critical path (longest chain)"))
-    print()
-    windows = stall_windows(report.roots, args.window_us * 1e3,
-                            STALL_CATEGORIES)
-    stall_rows = [(round(end_ns / 1e3), ", ".join(
-        f"{cat} {ns / 1e3:.1f}us" for cat, ns in ranked))
-        for end_ns, ranked in top_stalls(windows, 3)]
-    print(render_table(["window end (us)", "top stall categories"],
-                       stall_rows,
-                       title=f"Stall attribution per {args.window_us:g} us "
-                             f"window"))
-    print(f"\nself-time coverage: {report.coverage:.4f} "
-          f"({report.self_total_ns / 1e3:.1f} of "
-          f"{report.total_ns / 1e3:.1f} us attributed)")
-
-
-def _campaign_artifact(seed: int, ops: int) -> Dict[str, Any]:
-    """One traced chaos campaign frozen into a run artifact."""
-    _, recorder = run_flight(seed=seed, ops=ops)
-    report = profile(recorder.tracer.events)
-    return run_artifact(recorder, profile=report,
-                        meta={"seed": seed, "ops": ops})
-
-
 def cmd_perfdiff(args: argparse.Namespace) -> None:
-    """Run-to-run diff: counters, histograms, self time."""
+    """Run-to-run diff of two fleet artifacts (metrics and self time)."""
     if args.run_a and args.run_b:
-        before, after = load_artifact(args.run_a), load_artifact(args.run_b)
+        before, after = _load_fleet(args.run_a), _load_fleet(args.run_b)
         labels = (args.run_a, args.run_b)
     else:
-        print(f"diffing two identical campaigns (seed {args.seed}, "
-              f"{args.trace_ops} ops) ...")
-        before = _campaign_artifact(args.seed, args.trace_ops)
-        after = _campaign_artifact(args.seed, args.trace_ops)
+        print(f"diffing two identical traced node-failure campaigns "
+              f"(seed {args.seed}, {args.trace_ops} ops) ...")
+        before, after = (run_chaos(seed=args.seed, ops=args.trace_ops,
+                                   tracing=True, fleet=True).fleet
+                         for _ in range(2))
         labels = ("run A", "run B")
-    report = diff_runs(before, after, rel_tol=args.rel_tol)
+    report = diff_runs(fleet_view(before), fleet_view(after),
+                       rel_tol=args.rel_tol)
     if report.significant:
         print(render_table(
             ["kind", "name", "before", "after", "delta", "rel"],
@@ -676,69 +557,38 @@ def cmd_perfdiff(args: argparse.Namespace) -> None:
         raise SystemExit(1)
 
 
-def cmd_slo(args: argparse.Namespace) -> None:
-    """SLO burn-rate alerts over the chaos campaign (control tower)."""
-    report = run_control(seed=args.seed, ops=args.trace_ops)
-    print(render_table(
-        ["t (us)", "state", "alerts at transition"],
-        [(round(ts / 1e3, 1), state,
-          "; ".join(ctx.get("alerts", [])) or "-")
-         for ts, state, ctx in report.annotated_transitions],
-        title=f"Health transitions (seed {args.seed})"))
-    print()
-    print(render_table(
-        ["t (us)", "rule", "burn", "value"],
-        [(round(a.at_ns / 1e3, 1), a.rule,
-          "inf" if a.burn_rate == float("inf") else round(a.burn_rate, 1),
-          round(a.value, 1)) for a in report.alerts],
-        title="Alert timeline"))
-    print()
-    print(render_table(
-        ["rule", "objective", "good fraction", "verdict"],
-        report.verdict_rows(), title="SLO compliance"))
-    degraded = report.degraded_alerts()
-    if degraded:
-        print(f"\nDEGRADED transition explained by: {degraded[0]}")
-    else:
-        print("\nFAIL: no burn-rate alert attached to a DEGRADED "
-              "transition — the control tower was blind to the outage")
-        raise SystemExit(1)
-    if not report.result.passed:
-        print("FAIL: recovery invariants violated")
-        raise SystemExit(1)
-
-
 def cmd_dashboard(args: argparse.Namespace) -> None:
-    """Cluster dashboard: fleet artifact -> terminal summary + HTML."""
+    """Run report: a fleet artifact's SLOs, faults and profile, text + HTML."""
     from .obs.dashboard import dashboard_text, write_dashboard
-    from .obs.fleet import FleetRecorder
     if args.from_artifact:
-        fleet = FleetRecorder.load(args.from_artifact)
+        fleet = _load_fleet(args.from_artifact)
     else:
-        print(f"no --from-artifact: capturing a memnode-failover campaign "
-              f"(seed {args.seed}, {args.ops} ops) ...\n")
-        failover = run_failover(seed=args.seed, ops=args.ops,
-                                capture=True, fleet=True,
-                                tenant=args.tenant)
-        fleet = failover.fleet
-    print(dashboard_text(fleet))
+        print(f"no --from-artifact: running a traced, capture-on "
+              f"memnode-failover campaign (seed {args.seed}, "
+              f"{args.ops} ops) ...\n")
+        fleet = run_failover(seed=args.seed, ops=args.ops, tracing=True,
+                             capture=True, fleet=True,
+                             tenant=args.tenant).fleet
+    print(dashboard_text(fleet), end="")
     if args.fleet_out:
         print(f"\nfleet artifact: {fleet.save(args.fleet_out)}")
     if args.html:
         print(f"dashboard html: {write_dashboard(fleet, args.html)}")
     if args.trace_out:
-        payload = fleet.chrome_trace()
-        errors = validate_chrome_trace(payload)
-        if errors:
-            for msg in errors[:10]:
-                print(f"INVALID: {msg}", file=sys.stderr)
+        _write_trace(fleet, args.trace_out)
+    if args.prom:
+        with open(args.prom, "w") as fh:
+            fh.write(prometheus_text(fleet.registry()))
+        print(f"prometheus dump: {args.prom}")
+    log = fleet.fault_log()
+    if log is not None:
+        outage = log.health_counts[1] + log.health_counts[2]
+        dominated = log.degraded_hop_counts()
+        if outage and not dominated["fab"] + dominated["repl"]:
+            print("\nFAIL: outage-window faults exist but none are "
+                  "dominated by the fabric or replication hops — "
+                  "attribution is blind to the failover")
             raise SystemExit(1)
-        with open(args.trace_out, "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
-        print(f"unified chrome trace: {args.trace_out} "
-              f"({len(payload['traceEvents'])} events) — one track per "
-              f"component, flow arrows across the fault chain")
 
 
 def cmd_summary(args: argparse.Namespace) -> None:
@@ -768,12 +618,8 @@ COMMANDS: Dict[str, Callable[[argparse.Namespace], None]] = {
     "trace-convert": cmd_trace_convert,
     "trace-gen": cmd_trace_gen,
     "trace-replay": cmd_trace_replay,
-    "trace": cmd_trace,
-    "faults": cmd_faults,
     "dashboard": cmd_dashboard,
-    "profile": cmd_profile,
     "perfdiff": cmd_perfdiff,
-    "slo": cmd_slo,
 }
 
 
@@ -815,14 +661,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ops", type=int, default=40_000,
                         help="data operations for AMAT simulations")
     parser.add_argument("--seed", type=int, default=0,
-                        help="campaign seed for the chaos command")
+                        help="chaos/dashboard/perfdiff: campaign seed")
     parser.add_argument("--campaign",
                         choices=["node-failure", "memnode-failover"],
                         default="node-failure",
                         help="chaos: which fault campaign to run")
     parser.add_argument("--trace-out", default=None,
-                        help="chaos: write a Chrome trace of the "
-                             "failover campaign to this path")
+                        help="chaos/dashboard: write the run's unified "
+                             "Chrome trace (schema-checked) to this path")
     parser.add_argument("--processes", type=int, default=None,
                         help="worker processes for the sweep command "
                              "(default: cpu count)")
@@ -839,18 +685,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", default=None,
                         help="bench: report output path (default depends "
                              "on --suite)")
-    parser.add_argument("--out", default="trace.json",
-                        help="trace: Chrome trace-event JSON output path")
+    parser.add_argument("--out", default=None,
+                        help="trace-gen/trace-convert: output path")
     parser.add_argument("--trace-ops", type=int, default=8_000,
-                        help="trace: accesses in the traced campaign")
+                        help="perfdiff: accesses in each self-run "
+                             "traced campaign")
     parser.add_argument("--prom", default=None,
-                        help="trace: also write a Prometheus text dump")
-    parser.add_argument("--jsonl", default=None,
-                        help="trace: also write a JSONL event log")
-    parser.add_argument("--top", type=int, default=10,
-                        help="profile/faults: rows in the top tables")
-    parser.add_argument("--json", default=None,
-                        help="faults: write the attribution report JSON")
+                        help="dashboard: also write a Prometheus text "
+                             "dump of the fleet registry")
     parser.add_argument("--from-artifact", default=None,
                         help="dashboard: render a saved fleet artifact "
                              "instead of running a campaign")
@@ -863,12 +705,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tenant", default=None,
                         help="chaos/dashboard/trace-replay: tenant label "
                              "on every captured component")
-    parser.add_argument("--window-us", type=float, default=100.0,
-                        help="profile: stall-attribution window (us)")
     parser.add_argument("--run-a", default=None,
-                        help="perfdiff: 'before' run-artifact JSON")
+                        help="perfdiff: 'before' fleet artifact JSON")
     parser.add_argument("--run-b", default=None,
-                        help="perfdiff: 'after' run-artifact JSON")
+                        help="perfdiff: 'after' fleet artifact JSON")
     parser.add_argument("--rel-tol", type=float, default=0.01,
                         help="perfdiff: relative noise threshold")
     parser.add_argument("--report", default=None,

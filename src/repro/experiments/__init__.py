@@ -15,17 +15,20 @@ from .bench import (
     run_case,
     write_bench,
 )
-from .chaos import build_chaos_runtime, chaos_stream, run_chaos
-from .control import KONA_SLOS, ControlReport, run_control
+from .chaos import (
+    KONA_SLOS,
+    ChaosRun,
+    build_chaos_runtime,
+    chaos_stream,
+    run_chaos,
+)
 from .failover import (
     FAILOVER_SLOS,
     FailoverResult,
     build_failover_runtime,
     run_failover,
 )
-from .faults import attribution_report, run_fault_campaign
 from .fig7 import Fig7Result, run_fig7
-from .flight import instant_summary, run_flight, span_summary
 from .fig8 import Fig8Result, run_fig8_amat, run_fig8d_blocksize
 from .fig9 import Fig9Result, run_fig9
 from .fig10 import Fig10Result, run_fig10
@@ -42,7 +45,7 @@ from .sections import (
 
 __all__ = [
     "BenchCase",
-    "ControlReport",
+    "ChaosRun",
     "FAILOVER_SLOS",
     "FailoverResult",
     "Fig10Result",
@@ -56,18 +59,14 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "Table2Result",
-    "attribution_report",
     "build_chaos_runtime",
     "build_failover_runtime",
     "chaos_stream",
     "check_speedup",
-    "instant_summary",
     "run_bench",
     "run_case",
     "run_chaos",
-    "run_control",
     "run_failover",
-    "run_fault_campaign",
     "run_fig10",
     "run_fig11",
     "run_fig11c_breakdown",
@@ -75,7 +74,6 @@ __all__ = [
     "run_fig8_amat",
     "run_fig8d_blocksize",
     "run_fig9",
-    "run_flight",
     "run_headline",
     "run_sec21_motivation",
     "run_sec61_baseline_parity",
@@ -83,7 +81,6 @@ __all__ = [
     "run_sec63_tracker_overhead",
     "run_sweep",
     "run_table2",
-    "span_summary",
     "sweep_grid",
     "write_bench",
 ]

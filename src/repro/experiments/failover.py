@@ -25,24 +25,30 @@ the fault run must also complete with *zero* faulted accesses
 (``no_faulted_accesses``): failover is invisible to the application
 beyond the lease-wait stall.
 
-An SLO engine rides along (same wiring as the control tower) so the
-failover story is judged by recovery rules too: the park drains, the
-re-replication backlog clears promptly, and the health machine's MTTR
-stays under the ceiling.
+An SLO engine rides along (the same wiring as the node-failure
+campaign) so the failover story is judged by recovery rules too: the
+park drains, the re-replication backlog clears promptly, and the
+health machine's MTTR stays under the ceiling.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..chaos import CampaignResult, ChaosEngine, InvariantCheck
+from ..chaos import ChaosEngine, InvariantCheck
 from ..common import units
 from ..kona import KonaConfig, KonaRuntime
-from ..obs import FlightRecorder, SLOEngine, SLORule
-from .chaos import REGION_BYTES, chaos_stream
-from .flight import SAMPLE_INTERVAL_NS
+from ..obs import FlightRecorder, SLORule
+from .chaos import (
+    REGION_BYTES,
+    SAMPLE_INTERVAL_NS,
+    ChaosRun,
+    campaign_fleet,
+    chaos_stream,
+    monitor,
+)
 
 #: Recovery rules for the failover campaign.  The backlog rule is
 #: *meant* to go bad during the outage window — re-replication takes
@@ -119,11 +125,10 @@ def _oracle_image(seed: int, ops: int) -> Tuple[Dict[int, Tuple[int, int]],
     return image, total_ns
 
 
-@dataclass
-class FailoverResult:
+@dataclass(kw_only=True)
+class FailoverResult(ChaosRun):
     """The durability verdict for one failover campaign."""
 
-    result: CampaignResult
     image_lines: int
     oracle_lines: int
     image_matches: bool
@@ -132,25 +137,16 @@ class FailoverResult:
     failovers: int
     promotions: int
     scrub_repairs: int
-    recorder: Optional[FlightRecorder] = None
-    engine: Optional[SLOEngine] = None
     #: Causal fault log of the fault run (``capture=True`` only).
     #: Deliberately outside :meth:`fingerprint` — capture must never
     #: change campaign outcomes, and the tests pin that separately.
     fault_log: Optional[Any] = None
-    #: Fleet view of the fault run's whole topology (``fleet=True``
-    #: only): runtime, fabric and every memnode as components, ready
-    #: for ``FleetRecorder.save`` / ``repro dashboard``.
-    fleet: Optional[Any] = None
 
     @property
     def passed(self) -> bool:
         """Invariants (including the image proof) plus SLO verdicts."""
-        if not self.result.passed:
-            return False
-        if self.engine is not None:
-            return all(met for _, _, met in self.engine.verdicts())
-        return True
+        return self.result.passed and all(
+            met for _, _, met in self.engine.verdicts())
 
     def fingerprint(self) -> str:
         """Campaign fingerprint extended with the image digest."""
@@ -172,15 +168,6 @@ class FailoverResult:
         out.extend(self.result.rows())
         return out
 
-    def verdict_rows(self) -> List[Tuple[str, str, str, str]]:
-        """(rule, objective, good fraction, met) SLO table rows."""
-        if self.engine is None:
-            return []
-        by_name = {rule.name: rule for rule in self.engine.rules}
-        return [(name, f"{by_name[name].objective:.3f}",
-                 f"{good_fraction:.3f}", "met" if met else "VIOLATED")
-                for name, good_fraction, met in self.engine.verdicts()]
-
 
 def run_failover(seed: int = 0, ops: int = 20_000,
                  kill_fraction: float = 0.35,
@@ -189,10 +176,7 @@ def run_failover(seed: int = 0, ops: int = 20_000,
                  victim: str = "mem0",
                  corrupt_node: str = "mem1",
                  amat_tolerance: float = 0.50,
-                 rules: Optional[Sequence[SLORule]] = None,
                  tracing: bool = False,
-                 sample_interval_ns: float = SAMPLE_INTERVAL_NS,
-                 max_events: int = 500_000,
                  capture: bool = False,
                  fleet: bool = False,
                  tenant: Optional[str] = None) -> FailoverResult:
@@ -220,15 +204,9 @@ def run_failover(seed: int = 0, ops: int = 20_000,
     """
     oracle, total_est = _oracle_image(seed, ops)
     recorder = FlightRecorder(tracing=tracing,
-                              sample_interval_ns=sample_interval_ns,
-                              max_events=max_events)
+                              sample_interval_ns=SAMPLE_INTERVAL_NS)
     runtime = build_failover_runtime(seed, recorder=recorder)
-    slo_engine = SLOEngine(
-        recorder.tsdb,
-        list(rules if rules is not None else FAILOVER_SLOS),
-        registry=recorder.registry,
-        sampler=recorder.sampler)
-    slo_engine.attach(runtime.health)
+    slo_engine = monitor(runtime, FAILOVER_SLOS)
     cap = runtime.attach_causal_capture() if capture else None
     if cap is not None:
         slo_engine.attach_fault_log(cap)
@@ -256,14 +234,6 @@ def run_failover(seed: int = 0, ops: int = 20_000,
         detail=(f"faulted={result.faulted_accesses} — replication must "
                 f"make the outage invisible to the application")))
     flat: Dict[str, Any] = result.telemetry.flat()
-    fleet_recorder = None
-    if fleet:
-        from ..obs.fleet import FleetRecorder
-        fleet_recorder = FleetRecorder(name="memnode-failover")
-        for member in runtime.fleet_members(component="runtime:failover",
-                                            tenant=tenant,
-                                            slo=slo_engine):
-            fleet_recorder.add(member)
     return FailoverResult(
         result=result,
         image_lines=len(image),
@@ -277,5 +247,7 @@ def run_failover(seed: int = 0, ops: int = 20_000,
         recorder=recorder,
         engine=slo_engine,
         fault_log=cap.log if cap is not None else None,
-        fleet=fleet_recorder,
+        fleet=(campaign_fleet(runtime, "memnode-failover",
+                              "runtime:failover", tenant, slo_engine)
+               if fleet else None),
     )

@@ -1,11 +1,14 @@
 """repro.obs — the flight-recorder and control-tower subsystem.
 
 Labeled metrics registry, sim-clock span tracing, periodic gauge
-sampling, and Chrome-trace / Prometheus / JSONL exporters; on top of
-them the analysis layer: the trace profiler (:mod:`repro.obs.analysis`),
-the run-to-run diff (:mod:`repro.obs.diff`), the time-series store
-(:mod:`repro.obs.tsdb`) and the SLO/burn-rate engine
-(:mod:`repro.obs.slo`).  See ``docs/architecture.md`` (Observability
+sampling, and Chrome-trace / Prometheus exporters; on top of them the
+analysis layer: the trace profiler (:mod:`repro.obs.analysis`), the
+time-series store (:mod:`repro.obs.tsdb`), the SLO/burn-rate engine
+(:mod:`repro.obs.slo`) and causal fault capture
+(:mod:`repro.obs.causal`).  One run artifact, the fleet
+(:mod:`repro.obs.fleet`), carries all of it; one report renders it
+(:mod:`repro.obs.dashboard`) and one diff compares two
+(:mod:`repro.obs.diff`).  See ``docs/architecture.md`` (Observability
 and Control tower) for the span model, export formats and data flow.
 """
 
@@ -20,25 +23,13 @@ from .analysis import (
     stall_windows,
     top_stalls,
 )
-from .diff import (
-    DiffEntry,
-    DiffReport,
-    diff_runs,
-    load_artifact,
-    run_artifact,
-    save_artifact,
-)
+from .diff import DiffEntry, DiffReport, diff_runs, fleet_view
 from .export import (
     chrome_trace,
     component_pid,
-    fault_chain_trace,
-    iter_jsonl,
-    jsonl_lines,
     prometheus_text,
     validate_chrome_trace,
     write_chrome_trace,
-    write_jsonl,
-    write_prometheus,
 )
 from .dashboard import dashboard_html, dashboard_text
 from .fleet import ComponentSnapshot, FleetRecorder
@@ -86,20 +77,13 @@ __all__ = [
     "dashboard_html",
     "dashboard_text",
     "diff_runs",
-    "fault_chain_trace",
-    "iter_jsonl",
-    "jsonl_lines",
-    "load_artifact",
+    "fleet_view",
     "profile",
     "prometheus_text",
-    "run_artifact",
-    "save_artifact",
     "stall_windows",
     "tail_anomalies",
     "top_stalls",
     "traced",
     "validate_chrome_trace",
     "write_chrome_trace",
-    "write_jsonl",
-    "write_prometheus",
 ]

@@ -1,88 +1,54 @@
-"""Run-to-run diff with configurable noise thresholds.
+"""Run-to-run diff of two fleet artifacts with noise thresholds.
 
-:func:`run_artifact` freezes one finished run (a
-:class:`~repro.obs.recorder.FlightRecorder`, optionally plus its
-:class:`~repro.obs.analysis.ProfileReport`) into a plain JSON dict:
-every numeric counter/gauge, every histogram's summary snapshot, and
-per-span/per-category self times.  :func:`diff_runs` compares two
-artifacts — scalar vs batched engine, before vs after a change, two
-seeds — and classifies each delta as significant or noise against
-relative/absolute thresholds.  Two identical-seed runs must diff to
-*zero* significant entries; that property is the regression tests'
-anchor.  (Wall-clock speedups are gated by ``repro bench``; see
+:func:`fleet_view` reduces one :class:`~repro.obs.fleet.FleetRecorder`
+to the numbers worth comparing, per component: every numeric metric,
+every histogram's summary snapshot, and per-span and per-category self
+time profiled from the member's span events.  Keys are
+``<component>/<name>``.  :func:`diff_runs` compares two views — before
+vs after a change, two seeds, two engines — and classifies each delta
+as significant or noise against relative/absolute thresholds.  Two
+identical-seed runs must diff to *zero* significant entries; that
+property is the regression tests' anchor.  (Wall-clock speedups are
+gated by ``repro bench``; see
 :func:`repro.experiments.bench.check_speedup`.)
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..common.errors import ConfigError
-from .registry import HistogramMetric, MetricsRegistry
-
-#: Artifact schema version written by :func:`run_artifact`.
-ARTIFACT_VERSION = 1
+from .analysis import profile
+from .registry import HistogramMetric
 
 #: Histogram snapshot keys compared by :func:`diff_runs`.
 _HIST_KEYS = ("count", "sum", "mean", "p50", "p95", "p99")
 
 
-def _sample_key(name: str, labels) -> str:
-    if not labels:
-        return name
-    return name + "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
-
-
-def run_artifact(recorder, profile=None,
-                 meta: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """Freeze a recorder (and optional profile) into a JSON-able dict."""
-    registry: MetricsRegistry = recorder.registry
-    metrics: Dict[str, float] = {}
-    for name, labels, value in registry.samples():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        metrics[_sample_key(name, labels)] = float(value)
-    histograms: Dict[str, Dict[str, float]] = {}
-    for family in registry.families():
-        if family.kind != "histogram":
-            continue
-        for labels, child in family.children():
-            assert isinstance(child, HistogramMetric)
-            histograms[_sample_key(family.name, labels)] = child.snapshot()
-    artifact: Dict[str, Any] = {
-        "format": "repro-run-artifact",
-        "version": ARTIFACT_VERSION,
-        "metrics": metrics,
-        "histograms": histograms,
-        "meta": dict(meta or {}),
-    }
-    if profile is not None:
-        artifact["self_time_ns"] = {
-            s.key: s.self_ns for s in profile.by_name.values()}
-        artifact["category_self_time_ns"] = {
-            s.key: s.self_ns for s in profile.by_category.values()}
-        artifact["total_ns"] = profile.total_ns
-    return artifact
-
-
-def save_artifact(artifact: Dict[str, Any], path: str) -> str:
-    """Write an artifact as JSON; returns the path."""
-    with open(path, "w") as fh:
-        json.dump(artifact, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def load_artifact(path: str) -> Dict[str, Any]:
-    """Load an artifact written by :func:`save_artifact`."""
-    with open(path) as fh:
-        artifact = json.load(fh)
-    if artifact.get("format") != "repro-run-artifact":
-        raise ConfigError(f"{path} is not a repro run artifact")
-    return artifact
+def fleet_view(fleet) -> Dict[str, Dict[str, Any]]:
+    """The comparable numbers of one fleet, keyed ``component/name``."""
+    view: Dict[str, Dict[str, Any]] = {
+        "metrics": {}, "histograms": {}, "self_time_ns": {},
+        "category_self_time_ns": {}}
+    for m in fleet.members:
+        prefix = f"{m.component}/"
+        for key, value in m.metrics.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                continue
+            view["metrics"][prefix + key] = float(value)
+        for key, state in m.histograms.items():
+            view["histograms"][prefix + key] = \
+                HistogramMetric.from_state(state).snapshot()
+        if m.events:
+            report = profile(m.events)
+            for stat in report.by_name.values():
+                view["self_time_ns"][prefix + stat.key] = stat.self_ns
+            for stat in report.by_category.values():
+                view["category_self_time_ns"][prefix + stat.key] = \
+                    stat.self_ns
+    return view
 
 
 @dataclass(frozen=True)
@@ -141,6 +107,16 @@ class DiffReport:
                 "missing": list(self.missing)}
 
 
+def _moved(entry: DiffEntry, rel_tol: float, abs_tol: float) -> bool:
+    """Whether one delta is significant.  A value that turns NaN (or
+    stops being NaN) moved; NaN on both sides is unchanged."""
+    nan_before, nan_after = math.isnan(entry.before), math.isnan(entry.after)
+    if nan_before or nan_after:
+        return nan_before != nan_after
+    return abs(entry.delta) > abs_tol and (
+        math.isinf(entry.rel_change) or abs(entry.rel_change) > rel_tol)
+
+
 def _compare(report: DiffReport, kind: str,
              before: Dict[str, float], after: Dict[str, float]) -> None:
     for key in sorted(set(before) | set(after)):
@@ -148,21 +124,19 @@ def _compare(report: DiffReport, kind: str,
             report.missing.append(f"{kind}:{key}")
             continue
         entry = DiffEntry(kind, key, float(before[key]), float(after[key]))
-        moved = abs(entry.delta) > report.abs_tol and (
-            math.isinf(entry.rel_change)
-            or abs(entry.rel_change) > report.rel_tol)
+        moved = _moved(entry, report.rel_tol, report.abs_tol)
         (report.significant if moved else report.noise).append(entry)
 
 
 def diff_runs(before: Dict[str, Any], after: Dict[str, Any],
               rel_tol: float = 0.01, abs_tol: float = 1e-9) -> DiffReport:
-    """Compare two run artifacts; classify every delta.
+    """Compare two :func:`fleet_view` views; classify every delta.
 
     A delta is *significant* when it exceeds both the absolute floor
     (``abs_tol``, default ~0: any real movement) and the relative
-    threshold (``rel_tol``, default 1%).  Keys present in only one
-    artifact are reported under ``missing`` — a renamed counter is a
-    finding, not noise.
+    threshold (``rel_tol``, default 1%), or when exactly one side is
+    NaN.  Keys present in only one view are reported under
+    ``missing`` — a renamed counter is a finding, not noise.
     """
     if rel_tol < 0 or abs_tol < 0:
         raise ConfigError("diff tolerances must be non-negative")

@@ -1,18 +1,16 @@
-"""Flight-recorder exporters: Chrome trace JSON, Prometheus, JSONL.
+"""Exporters: Chrome trace JSON and Prometheus text.
 
-Three formats, three audiences:
+Two formats, two audiences:
 
 * **Chrome trace-event JSON** — open in ``about://tracing`` or
   https://ui.perfetto.dev to see the nested span timeline.  Timestamps
   convert from simulated ns to the format's microseconds.
 * **Prometheus text format** — one dump of every registry metric,
   including histogram ``_bucket``/``_sum``/``_count`` series, for
-  scrape-shaped pipelines and diffing runs.
-* **JSONL** — one self-describing JSON object per line (trace events,
-  sampler rows, final metric values) for ad-hoc ``jq`` analysis.
+  scrape-shaped pipelines.
 
-``validate_chrome_trace`` is the schema gate the CLI and CI use before
-trusting a trace file; run it standalone with
+``validate_chrome_trace`` is the schema gate: :func:`write_chrome_trace`
+runs it before every write, and CI runs it standalone with
 ``python -m repro.obs.export trace.json``.
 """
 
@@ -20,7 +18,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .registry import HistogramMetric, MetricsRegistry
 
@@ -33,13 +31,9 @@ _FLOW_PHASES = {"s", "t", "f"}
 _METRIC_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
 
-#: Virtual-timeline track ids: spans/instants vs sampled gauge series,
-#: plus the causal fault-chain tracks (one per hop component).
+#: Virtual-timeline track ids: spans/instants vs sampled gauge series.
 _SPAN_TID = 1
 _COUNTER_TID = 2
-_FAULT_RUNTIME_TID = 3
-_FAULT_FABRIC_TID = 4
-_FAULT_MEMNODE_TID = 5
 
 #: FNV-1a 32-bit parameters (pid hashing).
 _FNV_OFFSET = 0x811c9dc5
@@ -104,81 +98,18 @@ def chrome_trace(events: List[Dict[str, Any]],
     return {"traceEvents": out, "displayTimeUnit": "ns"}
 
 
-def fault_chain_events(log, top: int = 16) -> List[Dict[str, Any]]:
-    """Tracer-shaped events for a fault log's slowest causal chains.
+def write_chrome_trace(payload: Dict[str, Any], path: str) -> List[str]:
+    """Validate a Chrome trace payload, then write it as JSON.
 
-    Each top-K exemplar becomes one chain: an ``X`` span per non-zero
-    hop — directory on the runtime track, fabric read on the fabric
-    track, FMem/replication service on the memnode track — linked by
-    flow events (``s``/``t``/``f`` arrows with the fault's seq as flow
-    id), so Perfetto draws each slow fault as an arrow chain across
-    the component tracks.  Fault records carry no wall-clock instant
-    (capture is off the simulated clock by design), so chains are laid
-    out on a synthetic timeline at their access ordinal; timestamps
-    are in tracer ns (``chrome_trace`` scales them like span events).
+    Returns the schema errors; a payload with any is not written, so
+    no invalid trace ever reaches disk.
     """
-    events: List[Dict[str, Any]] = []
-    hop_tracks = (
-        ("dir", 8, _FAULT_RUNTIME_TID),
-        ("fab", 9, _FAULT_FABRIC_TID),
-        ("mem", 10, _FAULT_MEMNODE_TID),
-        ("repl", 11, _FAULT_MEMNODE_TID),
-    )
-    for ex in log.exemplars[:top]:
-        total, seq, line, page, node, kind = ex[:6]
-        t = float(seq) * 1e3   # spread chains out on the ordinal axis
-        args = {"seq": seq, "line": line, "page": page, "node": node,
-                "total_ns": round(total, 2)}
-        first = True
-        for hop, idx, tid in hop_tracks:
-            dur = ex[idx]
-            if dur <= 0.0:
-                continue
-            events.append({"name": f"fault#{seq} {hop}", "ph": "X",
-                           "ts": t, "dur": dur, "cat": "fault",
-                           "tid": tid, "args": dict(args, hop=hop)})
-            events.append({"name": f"fault#{seq}",
-                           "ph": "s" if first else "t",
-                           "ts": t, "cat": "fault", "tid": tid,
-                           "id": seq})
-            first = False
-            t += dur
-        if not first:
-            # Terminate the flow at the end of the last hop.
-            last = events[-1]
-            events.append({"name": f"fault#{seq}", "ph": "f",
-                           "ts": t, "cat": "fault",
-                           "tid": last["tid"], "id": seq, "bp": "e"})
-    return events
-
-
-def fault_chain_trace(log, top: int = 16,
-                      process_name: str = "kona-faults") -> Dict[str, Any]:
-    """A complete Chrome trace payload for the slowest fault chains."""
-    pid = component_pid(process_name)
-    payload = chrome_trace(fault_chain_events(log, top=top),
-                           process_name=process_name, pid=pid)
-    payload["traceEvents"].extend([
-        {"name": "thread_name", "ph": "M", "pid": pid,
-         "tid": _FAULT_RUNTIME_TID, "ts": 0,
-         "args": {"name": "fault chains: runtime/directory"}},
-        {"name": "thread_name", "ph": "M", "pid": pid,
-         "tid": _FAULT_FABRIC_TID, "ts": 0,
-         "args": {"name": "fault chains: fabric"}},
-        {"name": "thread_name", "ph": "M", "pid": pid,
-         "tid": _FAULT_MEMNODE_TID, "ts": 0,
-         "args": {"name": "fault chains: memnode/replication"}},
-    ])
-    return payload
-
-
-def write_chrome_trace(recorder, path: str) -> str:
-    """Write a recorder's span timeline as Chrome trace JSON."""
-    payload = chrome_trace(recorder.tracer.events)
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
-    return path
+    errors = validate_chrome_trace(payload)
+    if not errors:
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+            fh.write("\n")
+    return errors
 
 
 def validate_chrome_trace(payload: Any) -> List[str]:
@@ -288,65 +219,6 @@ def prometheus_text(registry: MetricsRegistry) -> str:
                 info_labels = (*labels, ("value", str(value)))
                 lines.append(f"{name}_info{_prom_labels(info_labels)} 1")
     return "\n".join(lines) + "\n"
-
-
-def write_prometheus(recorder, path: str) -> str:
-    """Write the recorder's registry as a Prometheus text dump."""
-    with open(path, "w") as fh:
-        fh.write(prometheus_text(recorder.registry))
-    return path
-
-
-# -- JSONL -----------------------------------------------------------------------
-
-
-#: Stream-writer flush cadence: lines between explicit flushes.
-_JSONL_FLUSH_EVERY = 4096
-
-
-def iter_jsonl(recorder) -> Iterator[str]:
-    """The recorder's full story, one JSON object line at a time.
-
-    Event lines carry ``{"type": "event", ...}``; sampler rows come as
-    ``{"type": "sample", "ts": ..., "gauges": {...}}``; the final
-    metric values close the log as ``{"type": "metric", ...}`` lines.
-    A generator, so writers can stream records to disk without ever
-    materializing the full log in memory.
-    """
-    for event in recorder.tracer.events:
-        yield json.dumps({"type": "event", **event},
-                         sort_keys=True, default=str)
-    if recorder.sampler is not None:
-        for ts, row in recorder.sampler.samples:
-            yield json.dumps(
-                {"type": "sample", "ts": ts, "gauges": row},
-                sort_keys=True)
-    for name, labels, value in recorder.registry.samples():
-        yield json.dumps(
-            {"type": "metric", "name": name, "labels": dict(labels),
-             "value": value}, sort_keys=True, default=str)
-
-
-def jsonl_lines(recorder) -> List[str]:
-    """All JSONL lines as a list (see :func:`iter_jsonl`)."""
-    return list(iter_jsonl(recorder))
-
-
-def write_jsonl(recorder, path: str,
-                flush_every: int = _JSONL_FLUSH_EVERY) -> str:
-    """Stream the recorder's JSONL event log to disk.
-
-    Lines are generated one at a time and flushed to the OS every
-    ``flush_every`` lines, bounding writer memory to one line plus the
-    stdio buffer no matter how many events the recorder holds.
-    """
-    with open(path, "w") as fh:
-        for i, line in enumerate(iter_jsonl(recorder), 1):
-            fh.write(line)
-            fh.write("\n")
-            if i % flush_every == 0:
-                fh.flush()
-    return path
 
 
 def main(argv=None) -> int:

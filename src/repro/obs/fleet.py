@@ -34,8 +34,9 @@ This module is that join:
   FMem/replication service on the owning memnode's track, linked by
   the access seq as the correlation id.
 * :meth:`FleetRecorder.save` / :meth:`FleetRecorder.load` round-trip
-  the whole fleet as one JSON artifact — the input ``repro dashboard``
-  renders.
+  the whole fleet as one JSON artifact — the one run artifact: ``repro
+  chaos --fleet-out`` writes it, ``repro dashboard`` renders it and
+  ``repro perfdiff`` compares two.
 """
 
 from __future__ import annotations
@@ -91,11 +92,6 @@ class ComponentSnapshot:
     fault_log: Optional[Dict[str, Any]] = None
     slo: List[Dict[str, Any]] = field(default_factory=list)
     meta: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def kind(self) -> str:
-        """The component class: label text before the first colon."""
-        return self.component.split(":", 1)[0]
 
     @property
     def pid(self) -> int:
@@ -208,12 +204,6 @@ class FleetRecorder:
                 f"duplicate component label {snapshot.component!r}")
         self.members.append(snapshot)
         return self
-
-    def add_recorder(self, recorder, **kwargs: Any) -> ComponentSnapshot:
-        """Snapshot a flight recorder and add it; returns the snapshot."""
-        snap = ComponentSnapshot.from_recorder(recorder, **kwargs)
-        self.add(snap)
-        return snap
 
     def components(self) -> List[str]:
         """All member component labels, in join order."""
@@ -387,9 +377,10 @@ class FleetRecorder:
         seq as the flow id, so one remote fetch's journey renders as
         an arrow chain runtime → fabric → memnode.  Component pids are
         :func:`~repro.obs.export.component_pid` — deterministic even
-        for components with no snapshot of their own.  Chains lay out
-        on the synthetic ordinal timeline (``seq`` µs) exactly like
-        single-runtime fault chains.
+        for components with no snapshot of their own.  Fault records
+        carry no simulated instant (capture is off the clock by
+        design), so chains lay out on a synthetic ordinal timeline at
+        ``seq`` µs.
         """
         events: List[Dict[str, Any]] = []
         labels = set(self.components())
@@ -515,9 +506,9 @@ class FleetRecorder:
     @classmethod
     def from_json(cls, state: Dict[str, Any]) -> "FleetRecorder":
         """Rebuild a fleet from :meth:`to_json` output."""
-        if state.get("format") != "repro-fleet":
-            raise ConfigError("not a repro-fleet artifact "
-                              f"(format={state.get('format')!r})")
+        fmt = state.get("format") if isinstance(state, dict) else None
+        if fmt != "repro-fleet":
+            raise ConfigError(f"not a repro-fleet artifact (format={fmt!r})")
         fleet = cls(name=state.get("name", "fleet"))
         for member in state.get("members", []):
             fleet.add(ComponentSnapshot.from_json(member))

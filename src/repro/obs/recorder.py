@@ -5,7 +5,8 @@ default only the metrics registry is live (callable gauges over the
 components' counters — no hot-path cost); constructing with
 ``tracing=True`` (or calling :meth:`FlightRecorder.start`) turns on
 span recording, and a ``sample_interval_ns`` adds the periodic gauge
-sampler.  Exports delegate to :mod:`repro.obs.export`.
+sampler.  Exports go through the fleet artifact
+(:class:`~repro.obs.fleet.FleetRecorder`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..common.clock import SimClock
-from . import export
 from .registry import MetricsRegistry
 from .sampler import Sampler
 from .trace import Tracer
@@ -76,26 +76,3 @@ class FlightRecorder:
         """Periodic maintenance hook: drives the gauge sampler."""
         if self.sampler is not None:
             self.sampler.maybe_sample()
-
-    # -- exports ------------------------------------------------------------------
-
-    def chrome_trace(self) -> dict:
-        """The span timeline as a Chrome trace-event object."""
-        return export.chrome_trace(self.tracer.events,
-                                   process_name=self.component)
-
-    def write_chrome_trace(self, path: str) -> str:
-        """Write the Chrome trace JSON; returns the path."""
-        return export.write_chrome_trace(self, path)
-
-    def prometheus_text(self) -> str:
-        """The registry in Prometheus text format."""
-        return export.prometheus_text(self.registry)
-
-    def write_prometheus(self, path: str) -> str:
-        """Write the Prometheus dump; returns the path."""
-        return export.write_prometheus(self, path)
-
-    def write_jsonl(self, path: str) -> str:
-        """Write the JSONL event log; returns the path."""
-        return export.write_jsonl(self, path)

@@ -18,8 +18,8 @@ hooks into any health monitor exposing ``add_context_provider``: on
 every state transition the provider snapshots the gauges, evaluates
 all rules *at that instant*, and returns the active alerts — so a
 DEGRADED transition in a chaos campaign carries the alert context
-that explains it.  :mod:`repro.experiments.control` defines the Kona
-rule set and wires all of this into the chaos campaign.
+that explains it.  :mod:`repro.experiments.chaos` defines the Kona
+rule set and wires all of this into both chaos campaigns.
 """
 
 from __future__ import annotations
@@ -255,6 +255,13 @@ class SLOEngine:
             out.append((rule.name, good_fraction,
                         good_fraction >= rule.objective))
         return out
+
+    def verdict_rows(self) -> List[Tuple[str, str, str, str]]:
+        """(rule, objective, good fraction, met) table rows."""
+        by_name = {rule.name: rule for rule in self.rules}
+        return [(name, f"{by_name[name].objective:.3f}",
+                 f"{good_fraction:.3f}", "met" if met else "VIOLATED")
+                for name, good_fraction, met in self.verdicts()]
 
     def report(self) -> List[Dict[str, Any]]:
         """JSON-shaped verdicts for artifacts and dashboards.

@@ -2,50 +2,26 @@
 
 The flight recorder's :class:`~repro.obs.sampler.Sampler` snapshots
 every numeric gauge on a fixed simulated-time cadence; this module
-turns those rows into something *queryable*: per-series point lists
-ordered by timestamp, windowed rollups (``avg``/``max``/``min``/
-``last``/``delta``), and counter **rates** per simulated second.  The
-store is deliberately tiny — an in-memory dict of ``(ts, value)``
-lists plus a JSONL round-trip — because campaigns are bounded and
-deterministic; there is no eviction, no compaction, and appends must
-be time-ordered per series (out-of-order appends raise, preserving
-the invariant every query relies on).
-
-The JSONL format is one ``{"type": "point", "ts": ..., "name": ...,
-"value": ...}`` object per line, compatible with ``jq`` and with the
-run-diff loader in :mod:`repro.obs.diff`.
+turns those rows into per-series point lists ordered by timestamp,
+with inclusive range queries (what the SLO engine judges) and an
+exact, tie-stable :meth:`TimeSeriesStore.merge` (what the fleet view
+and sharded runs rely on).  The store is deliberately tiny — an
+in-memory dict of ``(ts, value)`` lists — because campaigns are
+bounded and deterministic; there is no eviction, no compaction, and
+appends must be time-ordered per series (out-of-order appends raise,
+preserving the invariant every query relies on).  Persistence is the
+fleet artifact's job (:class:`~repro.obs.fleet.ComponentSnapshot`).
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..common.errors import ConfigError
 
 #: One stored sample: (simulated-clock ns, value).
 Point = Tuple[float, float]
-
-#: Per-simulated-second scale for :meth:`TimeSeriesStore.rate`.
-_NS_PER_S = 1e9
-
-
-def _agg_fn(agg: str) -> Callable[[List[float]], float]:
-    table: Dict[str, Callable[[List[float]], float]] = {
-        "avg": lambda vs: sum(vs) / len(vs),
-        "max": max,
-        "min": min,
-        "last": lambda vs: vs[-1],
-        "first": lambda vs: vs[0],
-        "sum": sum,
-        "delta": lambda vs: vs[-1] - vs[0],
-    }
-    fn = table.get(agg)
-    if fn is None:
-        raise ConfigError(f"unknown aggregation {agg!r}; "
-                          f"choose one of {sorted(table)}")
-    return fn
 
 
 class TimeSeriesStore:
@@ -156,108 +132,3 @@ class TimeSeriesStore:
         lo = bisect_left(ts, start_ns)
         hi = bisect_right(ts, end_ns)
         return points[lo:hi]
-
-    def latest(self, name: str) -> Optional[Point]:
-        """The most recent point of ``name``, or None."""
-        points = self._series.get(name)
-        return points[-1] if points else None
-
-    def aggregate(self, name: str, start_ns: float = 0.0,
-                  end_ns: float = float("inf"),
-                  agg: str = "avg") -> float:
-        """One aggregate over a time range; ``nan`` when empty.
-
-        ``agg`` is one of ``avg``/``max``/``min``/``first``/``last``/
-        ``sum``/``delta`` (``delta`` = last minus first, the windowed
-        increase of a cumulative counter).
-        """
-        fn = _agg_fn(agg)
-        values = [v for _, v in self.series(name, start_ns, end_ns)]
-        if not values:
-            return float("nan")
-        return fn(values)
-
-    def rate(self, name: str, start_ns: float = 0.0,
-             end_ns: float = float("inf")) -> float:
-        """Counter increase per *simulated second* over a range.
-
-        Uses the first and last point inside the range; returns
-        ``nan`` with fewer than two points (no rate is observable).
-        """
-        window = self.series(name, start_ns, end_ns)
-        if len(window) < 2:
-            return float("nan")
-        (t0, v0), (t1, v1) = window[0], window[-1]
-        if t1 <= t0:
-            return float("nan")
-        return (v1 - v0) / (t1 - t0) * _NS_PER_S
-
-    def rollup(self, name: str, window_ns: float,
-               agg: str = "avg") -> List[Point]:
-        """Fixed-window rollup: one (window-end ns, aggregate) per bin.
-
-        Bins are aligned to multiples of ``window_ns`` from t=0 and
-        empty bins are skipped, so rollups of sparse series stay
-        sparse.
-        """
-        if window_ns <= 0:
-            raise ConfigError(f"rollup window must be positive, "
-                              f"got {window_ns}")
-        fn = _agg_fn(agg)
-        out: List[Point] = []
-        bucket: List[float] = []
-        current: Optional[int] = None
-        for ts, value in self._series.get(name, []):
-            idx = int(ts // window_ns)
-            if current is not None and idx != current:
-                out.append(((current + 1) * window_ns, fn(bucket)))
-                bucket = []
-            current = idx
-            bucket.append(value)
-        if current is not None and bucket:
-            out.append(((current + 1) * window_ns, fn(bucket)))
-        return out
-
-    # -- persistence --------------------------------------------------------------
-
-    def dump_jsonl(self, path: str) -> str:
-        """Write every point as one JSON object per line; returns path."""
-        with open(path, "w") as fh:
-            for name in sorted(self._series):
-                for ts, value in self._series[name]:
-                    fh.write(json.dumps({"type": "point", "ts": ts,
-                                         "name": name, "value": value},
-                                        sort_keys=True))
-                    fh.write("\n")
-        return path
-
-    @classmethod
-    def load_jsonl(cls, path: str) -> "TimeSeriesStore":
-        """Rebuild a store from :meth:`dump_jsonl` output.
-
-        Lines with other ``type`` values (the flight recorder's mixed
-        JSONL logs carry ``event``/``sample``/``metric`` lines too) are
-        tolerated: ``sample`` rows are ingested, the rest skipped.
-        """
-        store = cls()
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                kind = obj.get("type")
-                if kind == "point":
-                    store.append(obj["ts"], obj["name"], obj["value"])
-                elif kind == "sample":
-                    store.append_row(obj["ts"], obj.get("gauges", {}))
-        return store
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Tuple[float, Dict[str, float]]]
-                  ) -> "TimeSeriesStore":
-        """Build a store from sampler-shaped ``(ts, {gauge: value})``."""
-        store = cls()
-        for ts, row in rows:
-            store.append_row(ts, row)
-        return store

@@ -19,7 +19,7 @@ CAMPAIGN_OPS = 9_000
 @pytest.fixture(scope="module")
 def campaign():
     """One full node-failure campaign, shared across assertions."""
-    return run_chaos(seed=0, ops=CAMPAIGN_OPS)
+    return run_chaos(seed=0, ops=CAMPAIGN_OPS).result
 
 
 class TestNodeFailureCampaign:

@@ -79,7 +79,9 @@ class TestExecution:
                   "--min-speedup", "1000"])
 
     def test_profile_prints_self_time(self, capsys):
-        assert main(["profile", "--trace-ops", "2000"]) == 0
+        # The dashboard's self-run campaign is traced, so its report
+        # carries the runtime member's trace profile.
+        assert main(["dashboard", "--ops", "3000"]) == 0
         out = capsys.readouterr().out
         assert "Critical path" in out
         assert "self-time coverage: 1.0000" in out
@@ -94,14 +96,13 @@ class TestExecution:
     def test_perfdiff_artifacts_and_report(self, capsys, tmp_path):
         import json
 
-        from repro.obs import save_artifact
+        from repro.obs.fleet import ComponentSnapshot, FleetRecorder
 
-        a = {"format": "repro-run-artifact", "version": 1,
-             "metrics": {"x": 1.0}, "histograms": {}, "meta": {}}
-        b = {"format": "repro-run-artifact", "version": 1,
-             "metrics": {"x": 5.0}, "histograms": {}, "meta": {}}
-        save_artifact(a, str(tmp_path / "a.json"))
-        save_artifact(b, str(tmp_path / "b.json"))
+        for name, x in (("a", 1.0), ("b", 5.0)):
+            fleet = FleetRecorder(name=name)
+            fleet.add(ComponentSnapshot(component="runtime",
+                                        metrics={"x": x}))
+            fleet.save(str(tmp_path / f"{name}.json"))
         report = tmp_path / "diff.json"
         with pytest.raises(SystemExit):
             main(["perfdiff", "--run-a", str(tmp_path / "a.json"),
@@ -111,39 +112,80 @@ class TestExecution:
         assert "NOT clean" in out
         payload = json.loads(report.read_text())
         assert payload["clean"] is False
-        assert payload["significant"][0]["name"] == "x"
+        assert payload["significant"][0]["name"] == "runtime/x"
+
+    def test_perfdiff_self_run_fails_when_runs_differ(self, capsys,
+                                                      monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.obs.fleet import ComponentSnapshot, FleetRecorder
+
+        values = iter([1.0, 2.0])
+
+        def fake_run(**kw):
+            fleet = FleetRecorder(name="run").add(ComponentSnapshot(
+                component="runtime", metrics={"x": next(values)}))
+            return SimpleNamespace(fleet=fleet)
+
+        monkeypatch.setattr("repro.cli.run_chaos", fake_run)
+        with pytest.raises(SystemExit) as exc:
+            main(["perfdiff"])
+        assert exc.value.code == 1
+        assert "NOT clean" in capsys.readouterr().out
 
     def test_slo_prints_alerts_and_verdicts(self, capsys):
-        assert main(["slo", "--trace-ops", "4000"]) == 0
+        assert main(["chaos", "--ops", "4000"]) == 0
         out = capsys.readouterr().out
+        assert "Alert timeline" in out
         assert "DEGRADED" in out
         assert "burn" in out
         assert "SLO compliance" in out
         assert "DEGRADED transition explained by" in out
 
-    def test_chaos_exits_nonzero_on_invariant_violation(self, capsys,
-                                                        monkeypatch):
+    @staticmethod
+    def _fake_chaos(passed: bool, alerts):
         from repro.chaos import CampaignResult, InvariantCheck
+        from repro.experiments.chaos import ChaosRun
         from repro.kona.telemetry import TelemetrySnapshot
+        from repro.obs import FlightRecorder, SLOEngine, TimeSeriesStore
 
         result = CampaignResult(
             seed=0, accesses=1, faulted_accesses=0, timeline=[],
             window_amat_ns=[], pre_fault_amat_ns=1.0,
             post_recovery_amat_ns=1.0)
         result.invariants = [InvariantCheck(
-            name="writeback_conservation", passed=False, detail="boom")]
+            name="writeback_conservation", passed=passed, detail="boom")]
         result.telemetry = TelemetrySnapshot(data={"health": {}})
+        result.health_transitions = [(1.0, "DEGRADED", {"alerts": alerts})]
+        return ChaosRun(result=result, recorder=FlightRecorder(),
+                        engine=SLOEngine(TimeSeriesStore(), []))
+
+    def test_chaos_exits_nonzero_on_invariant_violation(self, capsys,
+                                                        monkeypatch):
+        result = self._fake_chaos(passed=False, alerts=["x: burn 9x"])
         monkeypatch.setattr("repro.cli.run_chaos", lambda **kw: result)
         with pytest.raises(SystemExit) as exc:
             main(["chaos"])
         assert exc.value.code == 1
         assert "VIOLATED" in capsys.readouterr().out
 
+    def test_chaos_exits_nonzero_without_degraded_alert(self, capsys,
+                                                        monkeypatch):
+        result = self._fake_chaos(passed=True, alerts=[])
+        monkeypatch.setattr("repro.cli.run_chaos", lambda **kw: result)
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos"])
+        assert exc.value.code == 1
+        out = capsys.readouterr().out
+        assert "Recovery invariants held" in out
+        assert "no burn-rate alert attached to a DEGRADED" in out
+
     @staticmethod
     def _fake_failover(passed: bool):
         from repro.chaos import CampaignResult, InvariantCheck
         from repro.experiments.failover import FailoverResult
         from repro.kona.telemetry import TelemetrySnapshot
+        from repro.obs import FlightRecorder, SLOEngine, TimeSeriesStore
 
         result = CampaignResult(
             seed=0, accesses=1, faulted_accesses=0, timeline=[],
@@ -153,9 +195,10 @@ class TestExecution:
             name="durability_image_match", passed=passed, detail="image")]
         result.telemetry = TelemetrySnapshot(data={})
         return FailoverResult(
-            result=result, image_lines=1, oracle_lines=1,
-            image_matches=passed, image_digest="cafe", mttr_ns=0.0,
-            failovers=1, promotions=1, scrub_repairs=0)
+            result=result, recorder=FlightRecorder(),
+            engine=SLOEngine(TimeSeriesStore(), []), image_lines=1,
+            oracle_lines=1, image_matches=passed, image_digest="cafe",
+            mttr_ns=0.0, failovers=1, promotions=1, scrub_repairs=0)
 
     def test_failover_campaign_exits_nonzero_on_violation(
             self, capsys, monkeypatch):
@@ -259,15 +302,61 @@ class TestExecution:
         import json
 
         from repro.obs import validate_chrome_trace
+        from repro.obs.fleet import FleetRecorder
 
         trace = tmp_path / "trace.json"
-        prom = tmp_path / "metrics.prom"
-        assert main(["trace", "--trace-ops", "2000",
-                     "--out", str(trace), "--prom", str(prom)]) == 0
+        fleet = tmp_path / "fleet.json"
+        assert main(["chaos", "--ops", "4000", "--trace-out", str(trace),
+                     "--fleet-out", str(fleet)]) == 0
         out = capsys.readouterr().out
-        assert "chrome trace" in out and "MTTR" in out
+        assert "chrome trace" in out and "fleet artifact" in out
         payload = json.loads(trace.read_text())
         assert validate_chrome_trace(payload) == []
         names = {e["name"] for e in payload["traceEvents"]}
         assert "fetch.fill" in names and "evict.page" in names
-        assert prom.read_text().startswith("# ")
+        loaded = FleetRecorder.load(str(fleet))
+        assert "runtime:chaos" in loaded.components()
+        assert loaded.member("runtime:chaos").slo
+        prom = tmp_path / "metrics.prom"
+        assert main(["dashboard", "--from-artifact", str(fleet),
+                     "--prom", str(prom)]) == 0
+        text = prom.read_text()
+        assert text.startswith("# ")
+        assert 'kona_access_stall_ns_count{component="runtime:chaos"' in text
+
+    def test_invalid_trace_is_refused(self, capsys, tmp_path,
+                                      monkeypatch):
+        from repro.obs.fleet import ComponentSnapshot, FleetRecorder
+
+        artifact = FleetRecorder(name="tiny").add(
+            ComponentSnapshot(component="runtime", metrics={"x": 1}))
+        path = artifact.save(str(tmp_path / "fleet.json"))
+        monkeypatch.setattr(FleetRecorder, "chrome_trace",
+                            lambda self: {"traceEvents": [{"ph": "X"}]})
+        trace = tmp_path / "trace.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["dashboard", "--from-artifact", path,
+                  "--trace-out", str(trace)])
+        assert exc.value.code == 1
+        assert "INVALID" in capsys.readouterr().err
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("command", ["dashboard", "perfdiff"])
+    @pytest.mark.parametrize("bad", ["missing", "not-json", "not-fleet"])
+    def test_bad_artifact_fails_in_one_line(self, capsys, tmp_path,
+                                            command, bad):
+        path = tmp_path / f"{bad}.json"
+        if bad == "not-json":
+            path.write_text("{not json")
+        elif bad == "not-fleet":
+            path.write_text('{"format": "repro-run-artifact"}\n')
+        argv = (["dashboard", "--from-artifact", str(path)]
+                if command == "dashboard"
+                else ["perfdiff", "--run-a", str(path), "--run-b",
+                      str(path)])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert str(path) in err

@@ -130,3 +130,34 @@ class TestDashboardCli:
         assert open(html_out).read().startswith("<!doctype html>")
         payload = json.load(open(trace_out))
         assert validate_chrome_trace(payload) == []
+
+
+class TestAttributionGate:
+    """The report fails when the fault log cannot explain an outage."""
+
+    def test_blind_attribution_exits_nonzero(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.obs.causal import CausalCapture
+        from repro.obs.fleet import ComponentSnapshot
+        cap = CausalCapture()
+        cap.on_health("DEGRADED")
+        for seq in range(64):
+            # Outage-window faults served from FMem: mem-dominated only.
+            cap.record(seq, seq * 64, None, 0, 0.0, 0.0, 500.0)
+        fleet = FleetRecorder(name="blind").add(ComponentSnapshot(
+            component="runtime", fault_log=cap.log.to_json()))
+        path = fleet.save(str(tmp_path / "blind.json"))
+        with pytest.raises(SystemExit) as exc:
+            main(["dashboard", "--from-artifact", path])
+        assert exc.value.code == 1
+        assert "attribution is blind" in capsys.readouterr().out
+
+    def test_failover_fleet_passes(self, failover_fleet, tmp_path, capsys):
+        from repro.cli import main
+        log = failover_fleet.fault_log()
+        assert log.health_counts[1] + log.health_counts[2] > 0
+        path = failover_fleet.save(str(tmp_path / "fleet.json"))
+        assert main(["dashboard", "--from-artifact", path]) == 0
+        out = capsys.readouterr().out
+        assert "Per-hop stall budget" in out
+        assert "Slowest fault chains" in out

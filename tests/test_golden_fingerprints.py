@@ -30,7 +30,11 @@ import numpy as np
 import pytest
 
 import repro.common.units as u
-from repro.experiments.bench import runtime_fingerprint
+from repro.experiments.bench import (
+    SCALAR,
+    RuntimeBenchCase,
+    runtime_fingerprint,
+)
 from repro.kona.config import KonaConfig
 from repro.kona.runtime import KonaRuntime
 from repro.workloads import WORKLOADS
@@ -149,6 +153,21 @@ def _case_write_stream_capture():
              "fault_log": cap.log.aggregate()})
 
 
+def _case_bench(case, prefix=None):
+    """A runtime bench case replayed on the oracle through the bench's
+    own path: ``RuntimeBenchCase.trace()`` input, the untimed warm-up
+    sweep, then the first ``prefix`` timed accesses (all by default)."""
+    def run():
+        warm_addrs, warm_writes, addrs, writes, mem_bytes = case.trace()
+        addrs, writes = addrs[:prefix], writes[:prefix]
+        replay = case.replay(
+            (warm_addrs, warm_writes, addrs, writes, mem_bytes), SCALAR)
+        inputs = [a for a in (warm_addrs, warm_writes, addrs, writes)
+                  if a is not None]
+        return _array_digest(*inputs), replay.fingerprint
+    return run
+
+
 def _case_chaos():
     from repro.experiments.chaos import chaos_stream, run_chaos
     addrs, writes = chaos_stream(0, CAMPAIGN_OPS, 0)
@@ -177,6 +196,14 @@ CASES = {
                                         "mesi"),
     "hot-mix-stream-2chunk-write-capture": _case_stream_capture,
     "write-stream-32mb-capture": _case_write_stream_capture,
+    # The quick runtime bench's miss-heavy case, whole.
+    "page-rank-miss": _case_bench(
+        RuntimeBenchCase("page-rank", 150_000, fmem_mb=8)),
+    # The full bench's 4M hot-mix scale point: warm-up sweep, then the
+    # first 262,144 timed accesses.
+    "hot-mix-4m-prefix-262144": _case_bench(
+        RuntimeBenchCase("hot-mix", 4_000_000, label="hot-mix-4m"),
+        prefix=262_144),
     "chaos-campaign": _case_chaos,
     "memnode-failover-campaign": _case_failover,
 }

@@ -127,10 +127,10 @@ class TestRealTrace:
     def test_flight_campaign_coverage_within_one_percent(self):
         # The acceptance bar: profiling a real traced campaign, the
         # self-time attribution reconstructs total traced time.
-        from repro.experiments.flight import run_flight
+        from repro.experiments.chaos import run_chaos
 
-        _, recorder = run_flight(seed=0, ops=3_000)
-        report = profile(recorder.tracer.events)
+        run = run_chaos(seed=0, ops=3_000, tracing=True)
+        report = profile(run.recorder.tracer.events)
         assert report.total_ns > 0
         assert abs(report.coverage - 1.0) < 0.01
         assert "fetch" in report.by_category

@@ -8,7 +8,7 @@ The load-bearing contracts:
 * the record stream is complete — exactly one record per cache miss,
   identical between the scalar and batched engines and between
   streamed and monolithic replay;
-* the reductions are exact and the exporters validate.
+* the reductions are exact and the fleet's fault chains validate.
 """
 
 import json
@@ -29,11 +29,8 @@ from repro.obs.causal import (
     FaultLog,
     tail_anomalies,
 )
-from repro.obs.export import (
-    fault_chain_events,
-    fault_chain_trace,
-    validate_chrome_trace,
-)
+from repro.obs.export import validate_chrome_trace
+from repro.obs.fleet import FleetRecorder
 from repro.obs.registry import HistogramMetric, MetricsRegistry
 from repro.obs.sampler import Sampler
 from repro.obs.tsdb import TimeSeriesStore
@@ -351,10 +348,17 @@ class TestSLOIntegration:
         assert traced.image_matches and plain.image_matches
 
 
+def captured_fleet(n):
+    rt, _, _ = run_with_capture(n=n)
+    fleet = FleetRecorder(name="chains")
+    for member in rt.fleet_members():
+        fleet.add(member)
+    return fleet
+
+
 class TestFaultChainExport:
     def test_trace_validates_with_flow_events(self):
-        _, _, cap = run_with_capture(n=10_000)
-        payload = fault_chain_trace(cap.log, top=8)
+        payload = captured_fleet(10_000).chrome_trace(top_faults=8)
         assert validate_chrome_trace(payload) == []
         events = payload["traceEvents"]
         phases = {e["ph"] for e in events}
@@ -362,19 +366,23 @@ class TestFaultChainExport:
         for e in events:
             if e["ph"] in ("s", "t", "f"):
                 assert "id" in e
-        tids = {e["tid"] for e in events if e["ph"] == "X"}
-        assert tids <= {3, 4, 5} and len(tids) >= 2
+        pids = {e["pid"] for e in events
+                if e["ph"] == "X" and e.get("cat") == "fault"}
+        assert len(pids) >= 2
 
     def test_chains_link_runtime_and_fabric_tracks(self):
-        _, _, cap = run_with_capture(n=10_000)
-        events = fault_chain_events(cap.log, top=4)
+        fleet = captured_fleet(10_000)
+        events = fleet.correlation_events(top=4)
         by_id = {}
         for e in events:
             if e["ph"] in ("s", "t", "f"):
                 by_id.setdefault(e["id"], []).append(e["ph"])
         # Every chain starts once and terminates once.
+        assert by_id
         for phases in by_id.values():
             assert phases.count("s") == 1 and phases.count("f") == 1
+        runtime, fabric = (fleet.member(c).pid for c in ("runtime", "fabric"))
+        assert {runtime, fabric} <= {e["pid"] for e in events}
 
     def test_validator_rejects_flow_without_id(self):
         bad = {"traceEvents": [

@@ -1,4 +1,4 @@
-"""Tests for the run-to-run diff."""
+"""Tests for the run-to-run diff of fleet artifacts."""
 
 import math
 
@@ -11,17 +11,15 @@ from repro.kona.config import KonaConfig
 from repro.kona.runtime import KonaRuntime
 from repro.obs import (
     DiffEntry,
+    FleetRecorder,
     FlightRecorder,
     diff_runs,
-    load_artifact,
-    profile,
-    run_artifact,
-    save_artifact,
+    fleet_view,
 )
 
 
-def traced_run(seed=3):
-    """One small traced runtime run; returns its artifact."""
+def traced_fleet(seed=3):
+    """One small traced runtime run, frozen into a fleet artifact."""
     recorder = FlightRecorder(tracing=True, sample_interval_ns=10_000.0)
     rt = KonaRuntime(KonaConfig(fmem_capacity=4 * u.MB,
                                 vfmem_capacity=64 * u.MB,
@@ -33,8 +31,15 @@ def traced_run(seed=3):
              + rng.integers(0, 16 * u.MB // u.CACHE_LINE, size=4_000)
              * u.CACHE_LINE)
     rt.run_trace(addrs.astype(np.int64), rng.random(4_000) < 0.4)
-    return run_artifact(recorder, profile=profile(recorder.tracer.events),
-                        meta={"seed": seed})
+    fleet = FleetRecorder(name="diff")
+    for member in rt.fleet_members():
+        fleet.add(member)
+    return fleet
+
+
+def traced_run(seed=3):
+    """The comparable view of one small traced run."""
+    return fleet_view(traced_fleet(seed))
 
 
 class TestDiffEntry:
@@ -70,13 +75,29 @@ class TestDiffRuns:
         assert any(e.name == key for e in report.significant)
 
     def test_below_threshold_is_noise(self):
-        before = {"format": "repro-run-artifact", "version": 1,
-                  "metrics": {"x": 1000.0}, "histograms": {}, "meta": {}}
-        after = {"format": "repro-run-artifact", "version": 1,
-                 "metrics": {"x": 1004.0}, "histograms": {}, "meta": {}}
+        before = {"metrics": {"x": 1000.0}}
+        after = {"metrics": {"x": 1004.0}}
         report = diff_runs(before, after, rel_tol=0.01)
         assert report.clean
         assert report.noise[0].delta == 4.0
+
+    def test_nan_on_one_side_is_significant(self):
+        # A metric turning NaN and an empty histogram's NaN quantile
+        # gaining a value both moved.
+        report = diff_runs(
+            {"metrics": {"x": 1.0},
+             "histograms": {"h": {"p50": math.nan}}},
+            {"metrics": {"x": math.nan},
+             "histograms": {"h": {"p50": 5.0}}})
+        assert not report.clean
+        moved = {e.name for e in report.significant}
+        assert {"x", "h.p50"} <= moved
+
+    def test_nan_on_both_sides_is_unchanged(self):
+        report = diff_runs({"metrics": {"x": math.nan}},
+                           {"metrics": {"x": math.nan}})
+        assert report.clean
+        assert [e.name for e in report.noise] == ["x"]
 
     def test_missing_key_reported(self):
         before, after = traced_run(), traced_run()
@@ -88,7 +109,8 @@ class TestDiffRuns:
 
     def test_histogram_quantile_shift_detected(self):
         before, after = traced_run(), traced_run()
-        name = next(iter(after["histograms"]))
+        name = next(name for name, snap in after["histograms"].items()
+                    if snap["count"])
         after["histograms"][name]["p99"] *= 4.0
         report = diff_runs(before, after)
         assert any(e.name == f"{name}.p99" for e in report.significant)
@@ -107,20 +129,22 @@ class TestDiffRuns:
 
 class TestArtifacts:
     def test_artifact_contents(self):
-        artifact = traced_run()
-        assert artifact["format"] == "repro-run-artifact"
-        assert "fetch.cache_misses" in artifact["metrics"]
-        assert "kona_access_stall_ns" in artifact["histograms"]
-        assert artifact["total_ns"] > 0
-        assert artifact["self_time_ns"]
+        view = traced_run()
+        assert "runtime/fetch.cache_misses" in view["metrics"]
+        assert "runtime/kona_access_stall_ns" in view["histograms"]
+        assert "fabric/fabric.bytes_moved" in view["metrics"]
+        assert view["self_time_ns"]["runtime/fetch.fill"] > 0
+        assert view["category_self_time_ns"]["runtime/rdma"] > 0
 
     def test_save_load_roundtrip(self, tmp_path):
-        artifact = traced_run()
-        path = save_artifact(artifact, str(tmp_path / "run.json"))
-        assert load_artifact(path) == artifact
+        fleet = traced_fleet()
+        path = fleet.save(str(tmp_path / "run.json"))
+        loaded = fleet_view(FleetRecorder.load(path))
+        assert loaded == fleet_view(fleet)
+        assert diff_runs(loaded, fleet_view(fleet)).clean
 
     def test_load_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"benchmark": "something-else"}\n')
         with pytest.raises(ConfigError):
-            load_artifact(str(path))
+            FleetRecorder.load(str(path))

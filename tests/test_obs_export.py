@@ -8,8 +8,10 @@ import repro.common.units as u
 from repro.kona import KonaConfig, KonaRuntime
 from repro.obs import (
     FlightRecorder,
-    jsonl_lines,
+    chrome_trace,
+    prometheus_text,
     validate_chrome_trace,
+    write_chrome_trace,
 )
 
 
@@ -37,18 +39,18 @@ def traced_runtime():
 
 class TestChromeTrace:
     def test_trace_is_schema_valid(self, traced_runtime):
-        payload = traced_runtime.obs.chrome_trace()
+        payload = chrome_trace(traced_runtime.obs.tracer.events)
         assert validate_chrome_trace(payload) == []
 
     def test_trace_has_runtime_spans(self, traced_runtime):
-        events = traced_runtime.obs.chrome_trace()["traceEvents"]
+        events = chrome_trace(traced_runtime.obs.tracer.events)["traceEvents"]
         names = {e["name"] for e in events}
         assert "fetch.fill" in names
         assert "rdma.read" in names
         assert "evict.page" in names
 
     def test_trace_has_health_instants(self, traced_runtime):
-        events = traced_runtime.obs.chrome_trace()["traceEvents"]
+        events = chrome_trace(traced_runtime.obs.tracer.events)["traceEvents"]
         health = [e for e in events if e["name"].startswith("health.")
                   and e["ph"] == "i"]
         states = [e["name"] for e in health]
@@ -57,7 +59,7 @@ class TestChromeTrace:
         assert health[0]["args"]["reason"] == "test-outage"
 
     def test_rdma_reads_nest_inside_fills(self, traced_runtime):
-        events = traced_runtime.obs.chrome_trace()["traceEvents"]
+        events = chrome_trace(traced_runtime.obs.tracer.events)["traceEvents"]
         fills = [(e["ts"], e["ts"] + e["dur"]) for e in events
                  if e["name"] == "fetch.fill"]
         reads = [e["ts"] for e in events if e["name"] == "rdma.read"]
@@ -68,17 +70,23 @@ class TestChromeTrace:
     def test_timestamps_are_microseconds(self, traced_runtime):
         recorder = traced_runtime.obs
         raw = [e for e in recorder.tracer.events if e["ts"] > 0]
-        exported = recorder.chrome_trace()["traceEvents"]
+        exported = chrome_trace(recorder.tracer.events)["traceEvents"]
         by_name_raw = raw[-1]
         match = [e for e in exported if e.get("name") == by_name_raw["name"]
                  and e["ts"] == by_name_raw["ts"] / 1e3]
         assert match
 
     def test_written_file_round_trips(self, traced_runtime, tmp_path):
-        path = traced_runtime.obs.write_chrome_trace(
-            str(tmp_path / "trace.json"))
-        payload = json.loads(open(path).read())
-        assert validate_chrome_trace(payload) == []
+        path = str(tmp_path / "trace.json")
+        payload = chrome_trace(traced_runtime.obs.tracer.events)
+        assert write_chrome_trace(payload, path) == []
+        assert json.loads(open(path).read()) == payload
+
+    def test_invalid_trace_is_never_written(self, tmp_path):
+        path = tmp_path / "bad.json"
+        errors = write_chrome_trace({"traceEvents": [{"ph": "X"}]},
+                                    str(path))
+        assert errors and not path.exists()
 
 
 class TestValidator:
@@ -106,14 +114,6 @@ class TestValidator:
 
 
 class TestJsonlAndSampler:
-    def test_every_line_parses(self, traced_runtime):
-        lines = jsonl_lines(traced_runtime.obs)
-        assert lines
-        kinds = set()
-        for line in lines:
-            kinds.add(json.loads(line)["type"])
-        assert kinds == {"event", "sample", "metric"}
-
     def test_sampler_produced_time_series(self, traced_runtime):
         samples = traced_runtime.obs.sampler.samples
         assert len(samples) >= 2
@@ -122,7 +122,7 @@ class TestJsonlAndSampler:
         assert all("memory.fmem_occupancy" in row for _, row in samples)
 
     def test_prometheus_dump_covers_sections(self, traced_runtime):
-        text = traced_runtime.obs.prometheus_text()
+        text = prometheus_text(traced_runtime.obs.registry)
         assert "memory_fmem_bytes" in text
         assert "fetch_remote_fetches" in text
         assert "kona_access_stall_ns_count" in text
@@ -163,7 +163,7 @@ class TestReplicationExportMatrix:
 
     def test_chrome_trace_valid_and_has_failover_events(
             self, replicated_traced_runtime):
-        payload = replicated_traced_runtime.obs.chrome_trace()
+        payload = chrome_trace(replicated_traced_runtime.obs.tracer.events)
         assert validate_chrome_trace(payload) == []
         names = {e["name"] for e in payload["traceEvents"]}
         assert "replication.promote" in names
@@ -172,7 +172,7 @@ class TestReplicationExportMatrix:
 
     def test_prometheus_dump_has_live_replication_gauges(
             self, replicated_traced_runtime):
-        text = replicated_traced_runtime.obs.prometheus_text()
+        text = prometheus_text(replicated_traced_runtime.obs.registry)
         assert "replication_factor 2" in text
         assert "replication_failovers 1" in text
         assert "replication_backlog_slots 0" in text
@@ -185,11 +185,3 @@ class TestReplicationExportMatrix:
         _, last = samples[-1]
         assert "replication.factor" in last
         assert "replication.promotions" in last
-
-    def test_jsonl_lines_parse_with_replication_metrics(
-            self, replicated_traced_runtime):
-        lines = jsonl_lines(replicated_traced_runtime.obs)
-        metric_names = {json.loads(line)["name"] for line in lines
-                        if json.loads(line)["type"] == "metric"}
-        assert any(name.startswith("replication.")
-                   for name in metric_names)

@@ -5,12 +5,11 @@ snapshots of sharded / streamed runs reproduces the monolithic
 telemetry *bit-exactly* — counters, histogram quantiles, tsdb
 timelines and fault-log aggregates — and the fleet artifact itself is
 a stable, deterministic JSON document.  Satellites ride along: Chrome
-pid/tid stability across exports, the streaming JSONL exporter's
-bounded memory, and multi-sampler cadence on one shared sim clock.
+pid/tid stability across exports and multi-sampler cadence on one
+shared sim clock.
 """
 
 import json
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +23,6 @@ from repro.kona import KonaConfig, KonaRuntime
 from repro.obs import (
     FlightRecorder,
     component_pid,
-    iter_jsonl,
     validate_chrome_trace,
 )
 from repro.obs.fleet import ComponentSnapshot, FleetRecorder
@@ -273,38 +271,6 @@ class TestChromeExportStability:
         flows = [e for e in events if e["ph"] in ("s", "t", "f")]
         assert flows, "no correlation flow arrows in the fleet trace"
         assert all("id" in e for e in flows)
-
-
-class TestBoundedJsonlExport:
-    """Satellite: the JSONL exporter streams, never materializes."""
-
-    def _busy_recorder(self, events=30_000):
-        recorder = FlightRecorder(tracing=True, max_events=events + 10)
-        for i in range(events):
-            recorder.clock.advance(10.0)
-            recorder.tracer.instant(f"ev.{i % 7}", cat="test", i=i)
-        return recorder
-
-    def test_iter_jsonl_matches_materialized_lines(self):
-        recorder = self._busy_recorder(events=500)
-        from repro.obs import jsonl_lines
-        assert list(iter_jsonl(recorder)) == jsonl_lines(recorder)
-
-    def test_write_jsonl_memory_stays_bounded(self, tmp_path):
-        recorder = self._busy_recorder()
-        total_bytes = sum(len(line) + 1 for line in iter_jsonl(recorder))
-        path = str(tmp_path / "events.jsonl")
-        tracemalloc.start()
-        recorder.write_jsonl(path)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        # Streaming keeps peak allocation far below the payload size;
-        # a materialize-then-write implementation would hold all of it.
-        assert peak < total_bytes / 2, (
-            f"write_jsonl peaked at {peak} bytes for a {total_bytes}-"
-            f"byte payload — exporter is materializing the log")
-        with open(path) as fh:
-            assert sum(1 for _ in fh) == len(list(iter_jsonl(recorder)))
 
 
 class TestMultiSamplerCadence:

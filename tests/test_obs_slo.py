@@ -148,6 +148,10 @@ class TestSweepAndVerdicts:
         assert good_fraction == pytest.approx(0.6)
         assert met  # 0.6 >= the 0.5 objective
 
+    def test_verdict_rows_render_objective_and_met(self):
+        assert self.make_engine().verdict_rows() == [
+            ("errors-low", "0.500", "0.600", "met")]
+
     def test_strict_objective_not_met(self):
         engine = self.make_engine()
         engine.rules = [level_rule(objective=0.9)]
@@ -198,17 +202,17 @@ class TestControlTowerCampaign:
         # The acceptance bar: during the chaos node-failure campaign
         # the SLO engine raises a burn-rate alert *attached to* the
         # DEGRADED health transition, and the campaign still passes.
-        from repro.experiments.control import run_control
+        from repro.experiments.chaos import run_chaos
 
-        report = run_control(seed=0, ops=5_000)
-        assert report.result.passed
-        degraded = report.degraded_alerts()
+        run = run_chaos(seed=0, ops=5_000)
+        assert run.passed
+        degraded = run.degraded_alerts()
         assert degraded
         assert any("burn" in brief for brief in degraded)
         # The sweep also finds alerts beyond the transition instants.
-        assert report.alerts
+        assert run.engine.alerts
         # And the campaign honestly violates the fault-path SLOs.
         verdicts = dict((name, met) for name, _, met
-                        in report.engine.verdicts())
+                        in run.engine.verdicts())
         assert not verdicts["no-degraded-pages"]
         assert verdicts["mttr-ceiling"]

@@ -1,7 +1,5 @@
 """Tests for the append-only time-series store."""
 
-import math
-
 import pytest
 
 from repro.common.errors import ConfigError
@@ -38,7 +36,7 @@ class TestIngest:
     def test_equal_timestamp_append_allowed(self):
         store = make_counter_store()
         store.append(100.0, "hits", 51.0)
-        assert store.latest("hits") == (100.0, 51.0)
+        assert store.series("hits")[-2:] == [(100.0, 50.0), (100.0, 51.0)]
 
     def test_append_row_fans_out_per_series(self):
         store = TimeSeriesStore()
@@ -47,81 +45,6 @@ class TestIngest:
         assert store.names() == ["a", "b"]
         assert store.series("b") == [(1.0, 2.0), (2.0, 4.0)]
 
-    def test_from_rows(self):
-        store = TimeSeriesStore.from_rows(
-            [(0.0, {"x": 1.0}), (10.0, {"x": 2.0})])
-        assert store.series("x") == [(0.0, 1.0), (10.0, 2.0)]
-
     def test_span_ns(self):
         assert TimeSeriesStore().span_ns == (0.0, 0.0)
         assert make_counter_store().span_ns == (0.0, 100.0)
-
-
-class TestQueries:
-    def test_latest(self):
-        store = make_counter_store()
-        assert store.latest("hits") == (100.0, 50.0)
-        assert store.latest("nope") is None
-
-    def test_aggregates(self):
-        store = make_counter_store()
-        assert store.aggregate("hits", agg="max") == 50.0
-        assert store.aggregate("hits", agg="min") == 0.0
-        assert store.aggregate("hits", agg="first") == 0.0
-        assert store.aggregate("hits", agg="last") == 50.0
-        assert store.aggregate("hits", agg="delta") == 50.0
-        assert store.aggregate("hits", agg="avg") == 25.0
-
-    def test_aggregate_empty_is_nan(self):
-        assert math.isnan(TimeSeriesStore().aggregate("hits"))
-
-    def test_unknown_aggregate_raises(self):
-        with pytest.raises(ConfigError):
-            make_counter_store().aggregate("hits", agg="median")
-
-    def test_rate_counter_per_simulated_second(self):
-        # 50 increments over 100 ns -> 5e8 per second.
-        store = make_counter_store()
-        assert store.rate("hits") == pytest.approx(5e8)
-
-    def test_rate_needs_two_points(self):
-        store = TimeSeriesStore()
-        store.append(0.0, "hits", 1.0)
-        assert math.isnan(store.rate("hits"))
-
-    def test_rollup_bins_aligned_and_sparse(self):
-        store = TimeSeriesStore()
-        for ts, v in [(5.0, 1.0), (15.0, 3.0), (95.0, 10.0)]:
-            store.append(ts, "g", v)
-        # Bins of 10 ns from t=0; the empty middle bins are skipped.
-        assert store.rollup("g", 10.0, agg="avg") == [
-            (10.0, 1.0), (20.0, 3.0), (100.0, 10.0)]
-
-    def test_rollup_aggregates_within_bin(self):
-        store = TimeSeriesStore()
-        for ts, v in [(1.0, 2.0), (2.0, 4.0), (3.0, 6.0)]:
-            store.append(ts, "g", v)
-        assert store.rollup("g", 10.0, agg="max") == [(10.0, 6.0)]
-        assert store.rollup("g", 10.0, agg="delta") == [(10.0, 4.0)]
-
-    def test_rollup_invalid_window_raises(self):
-        with pytest.raises(ConfigError):
-            make_counter_store().rollup("hits", 0.0)
-
-
-class TestPersistence:
-    def test_jsonl_roundtrip(self, tmp_path):
-        store = make_counter_store()
-        store.append(3.0, "other", 7.5)
-        path = store.dump_jsonl(str(tmp_path / "series.jsonl"))
-        loaded = TimeSeriesStore.load_jsonl(path)
-        assert loaded.as_dict() == store.as_dict()
-
-    def test_load_ingests_sample_rows(self, tmp_path):
-        path = tmp_path / "mixed.jsonl"
-        path.write_text(
-            '{"type": "event", "name": "x", "ph": "i", "ts": 1}\n'
-            '{"type": "sample", "ts": 2.0, "gauges": {"a": 5.0}}\n'
-            '{"type": "point", "ts": 3.0, "name": "a", "value": 6.0}\n')
-        store = TimeSeriesStore.load_jsonl(str(path))
-        assert store.series("a") == [(2.0, 5.0), (3.0, 6.0)]
