@@ -121,7 +121,8 @@ def _prefetch_comparison():
         config = KonaConfig(fmem_capacity=8 * u.MB,
                             vfmem_capacity=64 * u.MB,
                             slab_bytes=16 * u.MB,
-                            prefetch_next_page=prefetch)
+                            prefetch_policy="next-page" if prefetch
+                            else "none")
         rt = KonaRuntime(config)
         region = rt.mmap(8 * u.MB)
         stall = 0.0

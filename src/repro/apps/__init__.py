@@ -1,15 +1,12 @@
-"""Applications built on the Kona public API.
+"""An application built on the Kona public API.
 
-These are consumers of the runtime, not part of it: a key-value store
-and a graph engine whose data lives transparently in disaggregated
-memory.  They demonstrate (and test) that unmodified application logic
-— hash probing, CSR traversal — runs on Kona with nothing but a
-``malloc``/``read``/``write`` contract.
+A consumer of the runtime, not part of it: a key-value store whose
+data lives transparently in disaggregated memory.  It demonstrates
+(and tests) that unmodified application logic — hash probing, value
+logs — runs on Kona with nothing but a ``malloc``/``read``/``write``
+contract.
 """
 
-from .graph import RemoteGraph
 from .kvstore import RemoteKVStore
-from .ycsb import MIXES, YCSBDriver, YCSBResult
 
-__all__ = ["MIXES", "RemoteGraph", "RemoteKVStore", "YCSBDriver",
-           "YCSBResult"]
+__all__ = ["RemoteKVStore"]

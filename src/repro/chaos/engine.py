@@ -2,11 +2,11 @@
 
 A campaign is a :class:`~repro.net.fabric.FaultSchedule` of labelled
 injections — node crashes and recoveries, link delays, flaky links,
-partitions, slow-node jitter — plus an access stream to drive through
-the runtime while the faults land.  Everything is keyed to the
-*simulated* clock and every random draw (flaky drops, retry jitter)
-comes from a seeded RNG, so a campaign replays byte-identically for the
-same seed: the property the determinism tests pin down.
+partitions — plus an access stream to drive through the runtime while
+the faults land.  Everything is keyed to the *simulated* clock and
+every random draw (flaky drops, retry jitter) comes from a seeded RNG,
+so a campaign replays byte-identically for the same seed: the property
+the determinism tests pin down.
 
 The engine advances the fabric clock by the application's compute time
 per access (unlike :meth:`KonaRuntime.run_trace`, which bills compute
@@ -160,20 +160,6 @@ class ChaosEngine:
             self.runtime.fabric.clear_flaky(src, dst)
             self._recover_requested = True
         self.schedule.at(at_ns, f"clear_flaky:{src}->{dst}", action)
-
-    def slow_node(self, at_ns: float, node: str,
-                  mean_extra_ns: float) -> None:
-        """Add seeded exponential jitter to a node's transfers."""
-        self._mark_fault(at_ns)
-        self.schedule.at(
-            at_ns, f"slow:{node}:{mean_extra_ns:.0f}",
-            lambda: self.runtime.fabric.set_node_jitter(
-                node, mean_extra_ns, seed=self.seed))
-
-    def clear_slow_node(self, at_ns: float, node: str) -> None:
-        """Remove slow-node jitter."""
-        self.schedule.at(at_ns, f"clear_slow:{node}",
-                         lambda: self.runtime.fabric.clear_node_jitter(node))
 
     def partition(self, at_ns: float, group_a: List[str],
                   group_b: List[str]) -> None:

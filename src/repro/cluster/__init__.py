@@ -2,14 +2,6 @@
 
 from .controller import RackController
 from .memnode import MemoryNode, UnpackReceipt
-from .placement import (
-    PLACEMENTS,
-    FirstFitPlacement,
-    LeastLoadedPlacement,
-    RoundRobinPlacement,
-    imbalance,
-    make_placement,
-)
 from .replication import (
     DataPlane,
     FailoverReport,
@@ -27,22 +19,16 @@ __all__ = [
     "DEFAULT_SLAB_BYTES",
     "DataPlane",
     "FailoverReport",
-    "FirstFitPlacement",
     "Lease",
-    "LeastLoadedPlacement",
     "LineStore",
     "MemoryNode",
-    "PLACEMENTS",
     "RackController",
     "ReplicaSet",
     "ReplicationManager",
-    "RoundRobinPlacement",
     "Slab",
     "SlabPool",
     "StoredLine",
     "UnpackReceipt",
-    "imbalance",
     "line_checksum",
     "line_payload",
-    "make_placement",
 ]

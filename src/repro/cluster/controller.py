@@ -3,8 +3,8 @@
 Memory nodes register their pools with the controller; compute nodes'
 resource managers request slabs.  Allocation is deliberately simple —
 the paper assumes a centralized controller handing out large slabs off
-the critical path (section 4.1) — but placement is pluggable so the
-replication experiments can spread replicas across nodes.
+the critical path (section 4.1) — so slabs go round-robin across live
+nodes, and replicas land on distinct nodes through ``exclude``.
 """
 
 from __future__ import annotations
@@ -18,18 +18,12 @@ from .slab import Slab
 
 
 class RackController:
-    """Allocates disaggregated memory from registered memory nodes.
+    """Allocates disaggregated memory from registered memory nodes."""
 
-    ``placement`` selects the slab-placement policy (see
-    :mod:`repro.cluster.placement`); the built-in default is
-    round-robin, matching the paper's simple centralized allocator.
-    """
-
-    def __init__(self, placement=None) -> None:
+    def __init__(self) -> None:
         self._nodes: Dict[str, MemoryNode] = {}
         self._rr_order: List[str] = []
         self._rr_next = 0
-        self._placement = placement
         self.counters = Counter()
 
     # -- registration -------------------------------------------------------------
@@ -91,7 +85,7 @@ class RackController:
                     f"(got {len(slabs)} before exhaustion)")
             attempts += 1
             node = self._pick_node(candidates)
-            if node is None or not node.alive or node.pool.free_slabs == 0:
+            if not node.alive or node.pool.free_slabs == 0:
                 continue
             try:
                 slabs.append(node.grant_slab())
@@ -100,11 +94,7 @@ class RackController:
         self.counters.add("slabs_allocated", count)
         return slabs
 
-    def _pick_node(self, candidates: List[str]) -> Optional[MemoryNode]:
-        if self._placement is not None:
-            live = [self._nodes[name] for name in candidates
-                    if self._nodes[name].alive]
-            return self._placement.choose(live)
+    def _pick_node(self, candidates: List[str]) -> MemoryNode:
         name = candidates[self._rr_next % len(candidates)]
         self._rr_next += 1
         return self._nodes[name]

@@ -13,7 +13,7 @@ two primitives:
   the dirty bitmap.  Optionally mark eagerly on UPGRADE.
 
 FMem victims are handed to an eviction sink (Kona's Eviction Handler)
-together with their dirty masks.  A next-page prefetcher models the
+together with their dirty masks.  An optional prefetcher models the
 paper's observation that Kona re-enables hardware prefetching across
 page boundaries.
 """
@@ -34,7 +34,7 @@ from ..mem.address import AddressRange
 from ..obs.trace import Tracer
 from .bitmap import DirtyBitmap
 from .fmem import FMemCache
-from .prefetcher import NextPagePrefetcher, Prefetcher
+from .prefetcher import Prefetcher
 from .translation import RemoteTranslationMap
 
 
@@ -47,7 +47,6 @@ class AgentConfig:
     """Tunables of the memory agent."""
 
     fetch_block: int = units.PAGE_4K   # bytes fetched per FMem fill (Fig 8d)
-    prefetch_next_page: bool = False   # sequential next-page prefetcher
     eager_upgrade_tracking: bool = False  # mark dirty on UPGRADE, not PutM
 
     def __post_init__(self) -> None:
@@ -95,14 +94,8 @@ class MemoryAgent:
         # Pluggable location resolver: the runtime injects a
         # failure-aware resolver that fails over to replicas.
         self._locate = locate if locate is not None else translation.resolve
-        # Pluggable prefetch policy; the config flag keeps the classic
-        # next-page behaviour as the default when enabled.
-        if prefetcher is not None:
-            self._prefetcher: Optional[Prefetcher] = prefetcher
-        elif self.config.prefetch_next_page:
-            self._prefetcher = NextPagePrefetcher()
-        else:
-            self._prefetcher = None
+        # Pluggable prefetch policy (none by default).
+        self._prefetcher: Optional[Prefetcher] = prefetcher
 
     # -- wiring ---------------------------------------------------------------------
 

@@ -10,11 +10,10 @@ from .failures import (
     MachineCheckException,
 )
 from .health import HealthMonitor, HealthState, Incident
-from .poller import Poller
 from .resource_manager import ResourceManager
 from .runtime import VFMEM_BASE, KonaRuntime, build_rack
 from .telemetry import TelemetrySnapshot, snapshot
-from .tracker import DirtyDataTracker, SnapshotDiffTracker
+from .tracker import DirtyDataTracker
 
 __all__ = [
     "AllocLib",
@@ -31,9 +30,7 @@ __all__ = [
     "KonaRuntime",
     "MachineCheckException",
     "PendingWritebackBuffer",
-    "Poller",
     "ResourceManager",
-    "SnapshotDiffTracker",
     "TelemetrySnapshot",
     "VFMEM_BASE",
     "build_rack",

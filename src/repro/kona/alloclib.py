@@ -17,8 +17,6 @@ from ..common import units
 from ..common.errors import AllocationError, ConfigError
 from ..common.stats import Counter
 from ..mem.address import AddressRange, align_up
-from ..mem.pagetable import Protection
-from ..mem.vma import VMA, VMAMap
 from .resource_manager import ResourceManager
 
 #: Allocations are rounded up to this granularity (one cache line), so
@@ -35,9 +33,6 @@ class AllocLib:
         self._limit = resource_manager.vfmem.end
         self._live: Dict[int, int] = {}          # addr -> size
         self._free_lists: Dict[int, List[int]] = {}   # size -> [addr]
-        #: Kernel-side region bookkeeping.  Kona touches this only at
-        #: mmap time; page-based systems walk it on every fault.
-        self.vmas = VMAMap()
         self.counters = Counter()
         self.bytes_allocated = 0
         self.bytes_freed = 0
@@ -75,11 +70,8 @@ class AllocLib:
         addr = self._bump_allocate(rounded)
         self._live[addr] = rounded
         self.bytes_allocated += rounded
-        region = AddressRange(addr, rounded)
-        self.vmas.insert(VMA(region, Protection.READ_WRITE,
-                             name="kona-remote", remote=True))
         self.counters.add("mmaps")
-        return region
+        return AddressRange(addr, rounded)
 
     # -- internals --------------------------------------------------------------------
 

@@ -27,15 +27,12 @@ class KonaConfig:
     # Fetch path
     fetch_block: int = units.PAGE_4K        # bytes fetched per FMem fill
     fmem_ways: int = 4                      # FMem associativity (section 4.4)
-    prefetch_next_page: bool = False
-    #: Prefetch policy name ("none", "next-page", "stride", "leap");
-    #: overrides prefetch_next_page when set to anything but "none".
+    #: Prefetch policy name ("none", "next-page", "stride", "leap").
     prefetch_policy: str = "none"
 
     # Eviction path
     evict_high_watermark: float = 0.90      # start evicting above this
     evict_low_watermark: float = 0.75       # stop evicting below this
-    log_capacity_records: int = 8192        # CL-log ring size
     rdma_batch_bytes: int = 64 * units.KB   # max log bytes per RDMA write
     full_page_threshold: int = 56           # >= this many dirty lines:
                                             # ship the whole page instead

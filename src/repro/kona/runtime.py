@@ -3,7 +3,7 @@
 This is the library an application links against (paper Figure 4).  It
 assembles the whole stack — rack controller, memory nodes, FPGA memory
 agent, CPU coherent cache, resource manager, AllocLib, dirty-data
-tracker, eviction handler, poller — and exposes the application-facing
+tracker, eviction handler — and exposes the application-facing
 operations: ``malloc``/``free``/``mmap`` plus ``read``/``write`` memory
 accesses, all transparently backed by disaggregated memory.
 
@@ -45,7 +45,6 @@ from .engine import _FusedLane, run_trace_batched
 from .eviction import EvictionHandler
 from .failures import FailureManager, FallbackMode, MachineCheckException
 from .health import HealthMonitor, HealthState
-from .poller import Poller
 from .resource_manager import ResourceManager
 from .tracker import DirtyDataTracker
 
@@ -103,7 +102,6 @@ class KonaRuntime:
             fabric = Fabric(latency, clock=self.obs.clock)
         self.fabric = fabric
         self.obs.bind_clock(self.fabric.clock)
-        self.fabric.tracer = self.obs.tracer
         if not self.fabric.has_node("compute"):
             self.fabric.add_node("compute")
         if controller is None:
@@ -132,7 +130,6 @@ class KonaRuntime:
         self.agent = MemoryAgent(
             self.vfmem, self.fmem, self.translation, latency,
             AgentConfig(fetch_block=cfg.fetch_block,
-                        prefetch_next_page=cfg.prefetch_next_page,
                         eager_upgrade_tracking=cfg.eager_upgrade_tracking),
             remote_read_ns=self._remote_read_ns,
             locate=self._locate_with_failover,
@@ -165,7 +162,6 @@ class KonaRuntime:
                                         fabric=self.fabric,
                                         tracer=self.obs.tracer)
         self.agent.on_page_eviction(self._eviction_sink)
-        self.poller = Poller()
 
         # -- replication & durability ---------------------------------------------
         #: Optional content shadow (attach_data_plane) for durability

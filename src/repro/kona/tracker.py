@@ -3,21 +3,13 @@
 With the hardware primitive available, tracking is free for the
 application — the FPGA sets bitmap bits as writebacks flow past.  This
 module wraps the bitmap with the amplification accounting the paper
-reports, and provides the snapshot-diff *emulation* mode (the ~200 LoC
-KTracker-lite of paper section 5.1) used when no coherence events are
-available: for each page fetched from remote memory, keep a copy, and
-on eviction diff the page against the copy to discover dirty lines.
+reports.  The snapshot-diff emulation used without coherence events
+(KTracker, paper section 5.1) lives in :mod:`repro.tools.ktracker`.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
-import numpy as np
-
 from ..common import units
-from ..common.errors import ConfigError
-from ..common.latency import DEFAULT_LATENCY, LatencyModel
 from ..common.stats import Counter
 from ..fpga.bitmap import DirtyBitmap
 
@@ -52,58 +44,3 @@ class DirtyDataTracker:
         if cl == 0:
             return float("nan")
         return self.dirty_bytes_page() / cl
-
-
-class SnapshotDiffTracker:
-    """Emulated cache-line tracking by page snapshot + diff.
-
-    This is the fallback Kona uses without hardware (paper section 5.1):
-    when a page is fetched, stash a copy; when the eviction thread takes
-    the page, memcmp 64 B chunks against the copy.  The diff cost is
-    charged so the emulation-overhead experiment (section 6.3) can be
-    reproduced.
-    """
-
-    def __init__(self, page_size: int = units.PAGE_4K,
-                 latency: LatencyModel = DEFAULT_LATENCY) -> None:
-        if page_size % units.CACHE_LINE:
-            raise ConfigError("page size must be line aligned")
-        self.page_size = page_size
-        self.lines_per_page = page_size // units.CACHE_LINE
-        self.latency = latency
-        self._snapshots: Dict[int, np.ndarray] = {}
-        self.counters = Counter()
-        self.diff_time_ns = 0.0
-
-    def on_fetch(self, page: int, data: np.ndarray) -> None:
-        """A page arrived from remote memory; snapshot it."""
-        if data.size != self.page_size:
-            raise ConfigError(
-                f"page snapshot must be {self.page_size} bytes, got {data.size}")
-        self._snapshots[page] = np.array(data, dtype=np.uint8, copy=True)
-        self.counters.add("snapshots")
-
-    def diff_on_evict(self, page: int, current: np.ndarray) -> int:
-        """Diff a page against its snapshot; returns the dirty-line mask."""
-        snapshot = self._snapshots.pop(page, None)
-        self.counters.add("diffs")
-        self.diff_time_ns += self.latency.memcmp_ns(self.page_size)
-        if snapshot is None:
-            # No snapshot: conservatively treat the page as fully dirty.
-            self.counters.add("unsnapshotted_pages")
-            return (1 << self.lines_per_page) - 1
-        if current.size != self.page_size:
-            raise ConfigError("page size mismatch on diff")
-        changed = (np.asarray(current, dtype=np.uint8) != snapshot)
-        per_line = changed.reshape(self.lines_per_page,
-                                   units.CACHE_LINE).any(axis=1)
-        mask = 0
-        for i in np.flatnonzero(per_line).tolist():
-            mask |= 1 << i
-        self.counters.add("dirty_lines_found", int(per_line.sum()))
-        return mask
-
-    @property
-    def tracked_pages(self) -> int:
-        """Pages currently holding snapshots."""
-        return len(self._snapshots)

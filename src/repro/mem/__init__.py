@@ -1,4 +1,4 @@
-"""Memory substrate: addresses, physical regions, page tables, TLBs."""
+"""Memory substrate: addresses, page tables, TLBs."""
 
 from .address import (
     AddressRange,
@@ -19,19 +19,14 @@ from .pagetable import (
     Protection,
     raise_for_fault,
 )
-from .physical import AddressSpaceLayout, MemoryKind, PhysicalRegion
-from .tlb import TLB, ShootdownModel
+from .tlb import TLB
 
 __all__ = [
     "AddressRange",
-    "AddressSpaceLayout",
     "FaultInfo",
-    "MemoryKind",
     "PageTable",
     "PageTableEntry",
-    "PhysicalRegion",
     "Protection",
-    "ShootdownModel",
     "TLB",
     "align_down",
     "align_up",

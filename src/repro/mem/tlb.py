@@ -1,4 +1,4 @@
-"""A set-associative TLB model with shootdown accounting.
+"""A set-associative TLB model.
 
 Page-based remote-memory systems pay TLB costs twice: every protection
 change (dirty-tracking round) and every eviction requires invalidating
@@ -90,35 +90,3 @@ class TLB:
     def occupancy(self) -> int:
         """Number of live translations."""
         return len(self._where)
-
-
-class ShootdownModel:
-    """Prices TLB shootdowns across the cores of a host.
-
-    A shootdown interrupts every core that might cache the translation.
-    The cost model is the initiating core's IPI send plus a per-core
-    acknowledgment wait, matching measured Linux behaviour where cost
-    scales with core count.
-    """
-
-    def __init__(self, num_cores: int = 8, ipi_base_ns: float = 1_500.0,
-                 per_core_ns: float = 350.0) -> None:
-        if num_cores <= 0:
-            raise ConfigError(f"num_cores must be positive, got {num_cores}")
-        self.num_cores = num_cores
-        self.ipi_base_ns = ipi_base_ns
-        self.per_core_ns = per_core_ns
-        self.counters = Counter()
-
-    def shootdown_ns(self, num_pages: int = 1) -> float:
-        """Cost of invalidating ``num_pages`` translations everywhere.
-
-        Batched invalidations share one IPI round; each page still pays
-        an INVLPG on each core.
-        """
-        if num_pages <= 0:
-            return 0.0
-        self.counters.add("shootdowns")
-        self.counters.add("pages_shot_down", num_pages)
-        per_core = self.per_core_ns + 110.0 * num_pages
-        return self.ipi_base_ns + per_core * (self.num_cores - 1)

@@ -1,31 +1,14 @@
-"""RDMA fabric, verbs, and the cache-line eviction log."""
+"""RDMA fabric and the cache-line eviction log."""
 
-from .fabric import Fabric, FaultEvent, FaultSchedule, TransferReceipt
-from .rdma import (
-    MAX_INLINE,
-    Completion,
-    CompletionQueue,
-    MemoryRegion,
-    OpCode,
-    QueuePair,
-    WorkRequest,
-)
+from .fabric import Fabric, FaultEvent, FaultSchedule
 from .ring import RECORD_BYTES, LogRecord, RingBufferLog, pack_dirty_lines
 
 __all__ = [
-    "Completion",
-    "CompletionQueue",
     "Fabric",
     "FaultEvent",
     "FaultSchedule",
     "LogRecord",
-    "MAX_INLINE",
-    "MemoryRegion",
-    "OpCode",
-    "QueuePair",
     "RECORD_BYTES",
     "RingBufferLog",
-    "TransferReceipt",
-    "WorkRequest",
     "pack_dirty_lines",
 ]

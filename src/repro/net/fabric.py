@@ -24,19 +24,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from ..common.clock import SimClock
-from ..common.errors import ConfigError, NetworkError
+from ..common.errors import ConfigError
 from ..common.latency import DEFAULT_LATENCY, LatencyModel
 from ..common.stats import Counter
-
-
-@dataclass(frozen=True)
-class TransferReceipt:
-    """Outcome of one fabric transfer."""
-
-    src: str
-    dst: str
-    nbytes: int
-    latency_ns: float
 
 
 @dataclass(order=True)
@@ -104,12 +94,11 @@ class Fabric:
         self._down: Set[str] = set()
         self._extra_delay_ns: Dict[Tuple[str, str], float] = {}
         self._flaky: Dict[Tuple[str, str], Tuple[float, np.random.Generator]] = {}
-        self._jitter: Dict[str, Tuple[float, np.random.Generator]] = {}
         self._cuts: List[Tuple[Set[str], Set[str]]] = []
         self.counters = Counter()
+        #: Reads 0: transfers are priced, never performed.  Kept because
+        #: the campaign fingerprints hash the ``network.bytes_moved`` gauge.
         self.bytes_moved = 0
-        #: Optional span tracer (attached by the runtime's recorder).
-        self.tracer = None
 
     # -- fleet telemetry -------------------------------------------------------
 
@@ -181,10 +170,9 @@ class Fabric:
                   seed: int = 0) -> None:
         """Make one link direction drop transfers with ``drop_rate``.
 
-        Drops are drawn from a per-link RNG seeded here, so a campaign
-        replays the same loss pattern for the same seed.  A dropped
-        transfer still occupies the wire (its latency is charged)
-        before raising :class:`NetworkError`.
+        Drops are drawn (:meth:`drops_transfer`) from a per-link RNG
+        seeded here, so a campaign replays the same loss pattern for the
+        same seed.
         """
         self._require(src)
         self._require(dst)
@@ -216,27 +204,6 @@ class Fabric:
             self.counters.add("dropped_transfers")
             return True
         return False
-
-    def set_node_jitter(self, name: str, mean_extra_ns: float,
-                        seed: int = 0) -> None:
-        """Add exponentially distributed latency to a slow node.
-
-        Every transfer touching ``name`` pays an extra delay drawn from
-        an Exp(``mean_extra_ns``) distribution on a per-node seeded RNG
-        (slow-CPU / overloaded-NIC jitter).
-        """
-        self._require(name)
-        if mean_extra_ns < 0:
-            raise ConfigError("jitter mean must be non-negative")
-        if mean_extra_ns == 0:
-            self._jitter.pop(name, None)
-        else:
-            self._jitter[name] = (mean_extra_ns,
-                                  np.random.default_rng(seed))
-
-    def clear_node_jitter(self, name: str) -> None:
-        """Remove slow-node jitter."""
-        self._jitter.pop(name, None)
 
     def partition(self, group_a: Iterable[str],
                   group_b: Iterable[str]) -> None:
@@ -274,21 +241,17 @@ class Fabric:
         """Whether no transfer can fail: no node is down, no partition
         is cut and no link is flaky.
 
-        Injected delay and jitter slow transfers but never fail them.
-        Any new kind of injected transfer failure must clear this too.
+        Injected delay slows transfers but never fails them.  Any new
+        kind of injected transfer failure must clear this too.
         """
         return not (self._down or self._cuts or self._flaky)
 
-    # -- transfers ---------------------------------------------------------------
+    # -- pricing -----------------------------------------------------------------
 
     def transfer_cost_ns(self, src: str, dst: str, nbytes: int, *,
                          linked: bool = False, signaled: bool = True) -> float:
-        """Price a one-sided transfer without performing it.
-
-        Deterministic costs only — injected delays are included, but
-        per-transfer jitter draws are not (they happen in
-        :meth:`transfer` so pricing stays side-effect free).
-        """
+        """Price a one-sided transfer: the latency model's cost plus any
+        injected delay on the link.  Side-effect free."""
         base = self.latency.rdma_transfer_ns(nbytes, linked=linked,
                                              signaled=signaled)
         return base + self._extra_delay_ns.get((src, dst), 0.0)
@@ -314,51 +277,6 @@ class Fabric:
         cost += max(self._extra_delay_ns.get((src, dst), 0.0)
                     for dst in dsts)
         return cost
-
-    def transfer(self, src: str, dst: str, nbytes: int, *,
-                 linked: bool = False, signaled: bool = True) -> TransferReceipt:
-        """Move ``nbytes`` from ``src`` to ``dst``, advancing the clock.
-
-        Raises :class:`NetworkError` if either endpoint is failed, the
-        pair is partitioned, or a flaky link drops the transfer.
-        """
-        self._require(src)
-        self._require(dst)
-        if nbytes < 0:
-            raise ConfigError(f"cannot transfer {nbytes} bytes")
-        for endpoint in (src, dst):
-            if endpoint in self._down:
-                self.counters.add("failed_transfers")
-                raise NetworkError(f"node {endpoint!r} is unreachable")
-        if self.is_partitioned(src, dst):
-            self.counters.add("failed_transfers")
-            self.counters.add("partitioned_transfers")
-            raise NetworkError(
-                f"network partition between {src!r} and {dst!r}")
-        latency_ns = self.transfer_cost_ns(src, dst, nbytes, linked=linked,
-                                           signaled=signaled)
-        for endpoint in (src, dst):
-            jitter = self._jitter.get(endpoint)
-            if jitter is not None:
-                mean, rng = jitter
-                latency_ns += rng.exponential(mean)
-        tracing = self.tracer is not None and self.tracer.enabled
-        if self.drops_transfer(src, dst):
-            # The attempt occupied the wire before it was lost.
-            self.clock.advance(latency_ns)
-            if tracing:
-                self.tracer.instant("net.transfer_dropped", "rdma",
-                                    src=src, dst=dst, nbytes=nbytes)
-            raise NetworkError(
-                f"flaky link {src!r}->{dst!r} dropped transfer")
-        self.clock.advance(latency_ns)
-        if tracing:
-            self.tracer.emit("net.transfer", latency_ns, "rdma",
-                             src=src, dst=dst, nbytes=nbytes)
-        self.counters.add("transfers")
-        self.bytes_moved += nbytes
-        return TransferReceipt(src=src, dst=dst, nbytes=nbytes,
-                               latency_ns=latency_ns)
 
     def _require(self, name: str) -> None:
         if name not in self._nodes:

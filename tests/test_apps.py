@@ -1,10 +1,9 @@
-"""Tests for the applications built on the public API."""
+"""Tests for the key-value store built on the public API."""
 
-import numpy as np
 import pytest
 
 import repro.common.units as u
-from repro.apps import RemoteGraph, RemoteKVStore
+from repro.apps import RemoteKVStore
 from repro.common.errors import AllocationError, ConfigError
 from repro.kona import KonaConfig, KonaRuntime
 
@@ -87,52 +86,3 @@ class TestKVStore:
         with pytest.raises(ConfigError):
             RemoteKVStore(app_runtime, capacity=100)
 
-
-class TestRemoteGraph:
-    def _ring_edges(self, n):
-        return [(i, (i + 1) % n) for i in range(n)]
-
-    def test_bfs_levels_on_ring(self, app_runtime):
-        graph = RemoteGraph(app_runtime, self._ring_edges(8))
-        levels = graph.bfs(0)
-        assert levels[0] == 0
-        assert levels[1] == 1 and levels[7] == 1
-        assert levels[4] == 4
-        assert len(levels) == 8
-
-    def test_bfs_matches_networkx(self, app_runtime):
-        nx = pytest.importorskip("networkx")
-        g = nx.gnm_random_graph(40, 120, seed=3)
-        edges = list(g.edges())
-        graph = RemoteGraph(app_runtime, edges, num_vertices=40)
-        levels = graph.bfs(0)
-        expected = nx.single_source_shortest_path_length(g, 0)
-        assert levels == dict(expected)
-
-    def test_pagerank_sums_to_one(self, app_runtime):
-        graph = RemoteGraph(app_runtime, self._ring_edges(16))
-        rank = graph.pagerank(iterations=5)
-        assert rank.sum() == pytest.approx(1.0, rel=1e-6)
-        # Symmetric ring: all ranks equal.
-        assert np.allclose(rank, rank[0])
-
-    def test_degree(self, app_runtime):
-        graph = RemoteGraph(app_runtime, [(0, 1), (0, 2), (0, 3)])
-        assert graph.degree(0) == 3
-        assert graph.degree(1) == 1
-
-    def test_traversal_generates_remote_traffic(self, app_runtime):
-        graph = RemoteGraph(app_runtime, self._ring_edges(64))
-        before = app_runtime.agent.counters["remote_fetches"]
-        graph.bfs(0)
-        assert graph.stall_ns > 0
-        assert app_runtime.agent.counters["remote_fetches"] >= before
-
-    def test_empty_graph_rejected(self, app_runtime):
-        with pytest.raises(ConfigError):
-            RemoteGraph(app_runtime, [])
-
-    def test_bad_source_rejected(self, app_runtime):
-        graph = RemoteGraph(app_runtime, [(0, 1)])
-        with pytest.raises(ConfigError):
-            graph.bfs(9)

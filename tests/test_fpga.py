@@ -9,6 +9,7 @@ from repro.coherence.states import LineState
 from repro.fpga.agent import AgentConfig, MemoryAgent
 from repro.fpga.bitmap import DirtyBitmap
 from repro.fpga.fmem import FMemCache
+from repro.fpga.prefetcher import NextPagePrefetcher
 from repro.fpga.translation import RemoteTranslationMap
 from repro.mem.address import AddressRange
 from repro.net.fabric import Fabric
@@ -148,7 +149,8 @@ class TestRemoteTranslation:
 
 
 class TestMemoryAgent:
-    def _agent(self, fmem_capacity=16 * u.PAGE_4K, **agent_kwargs):
+    def _agent(self, fmem_capacity=16 * u.PAGE_4K, prefetcher=None,
+               **agent_kwargs):
         vfmem = AddressRange(0, 16 * u.MB)
         fabric = Fabric()
         node = MemoryNode("m0", 64 * u.MB, fabric, slab_bytes=16 * u.MB)
@@ -156,7 +158,8 @@ class TestMemoryAgent:
         tmap.bind(0, node.grant_slab())
         fmem = FMemCache(fmem_capacity)
         config = AgentConfig(**agent_kwargs) if agent_kwargs else None
-        return MemoryAgent(vfmem, fmem, tmap, config=config)
+        return MemoryAgent(vfmem, fmem, tmap, config=config,
+                           prefetcher=prefetcher)
 
     def test_fill_miss_fetches_remote(self):
         agent = self._agent()
@@ -208,7 +211,7 @@ class TestMemoryAgent:
         assert agent.bitmap.dirty_line_count(0) == 1
 
     def test_prefetch_next_page(self):
-        agent = self._agent(prefetch_next_page=True)
+        agent = self._agent(prefetcher=NextPagePrefetcher())
         agent.directory.get_shared(0, 1)
         assert agent.counters["pages_prefetched"] == 1
         # The next page is now an FMem hit.

@@ -5,7 +5,7 @@ import pytest
 import repro.common.units as u
 from repro.cluster.memnode import MemoryNode
 from repro.common.errors import ConfigError
-from repro.fpga.agent import AgentConfig, MemoryAgent
+from repro.fpga.agent import MemoryAgent
 from repro.fpga.fmem import FMemCache
 from repro.fpga.prefetcher import (
     LeapPrefetcher,
@@ -112,15 +112,3 @@ class TestAgentIntegration:
         for i in range(64):
             agent.directory.get_shared(i * u.PAGE_4K, 1)
         assert agent.counters["pages_prefetched"] > 30
-
-    def test_explicit_prefetcher_overrides_config_flag(self):
-        vfmem = AddressRange(0, 16 * u.MB)
-        fabric = Fabric()
-        node = MemoryNode("m0", 64 * u.MB, fabric, slab_bytes=16 * u.MB)
-        tmap = RemoteTranslationMap(0, 16 * u.MB)
-        tmap.bind(0, node.grant_slab())
-        agent = MemoryAgent(vfmem, FMemCache(4 * u.MB), tmap,
-                            config=AgentConfig(prefetch_next_page=True),
-                            prefetcher=NoPrefetcher())
-        agent.directory.get_shared(0, 1)
-        assert agent.counters["pages_prefetched"] == 0

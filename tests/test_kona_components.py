@@ -1,5 +1,8 @@
-"""Tests for KLib components: config, AllocLib, resource manager, poller."""
+"""Tests for KLib components: config, AllocLib, resource manager."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 import repro.common.units as u
@@ -9,12 +12,10 @@ from repro.cluster.memnode import MemoryNode
 from repro.fpga.translation import RemoteTranslationMap
 from repro.kona.alloclib import AllocLib
 from repro.kona.config import KonaConfig
-from repro.kona.poller import Poller
 from repro.kona.resource_manager import ResourceManager
 from repro.mem.address import AddressRange
 from repro.mem.pagetable import PageTable
 from repro.net.fabric import Fabric
-from repro.net.rdma import QueuePair
 
 
 class TestKonaConfig:
@@ -115,6 +116,23 @@ class TestAllocLib:
         a = lib.malloc(64)
         b = lib.malloc(64)
         assert abs(a - b) >= 64
+        # Interleave mmap, malloc and free-then-reuse: every live range
+        # stays disjoint from every other.
+        rng = np.random.default_rng(5)
+        live = [AddressRange(a, 64), AddressRange(b, 64)]
+        for _ in range(300):
+            op = rng.integers(3)
+            if op == 0:
+                live.append(lib.mmap(int(rng.integers(1, 3 * u.PAGE_4K))))
+            elif op == 1:
+                addr = lib.malloc(int(rng.choice([64, 100, 256, 4096])))
+                live.append(AddressRange(addr, lib.size_of(addr)))
+            elif live:
+                lib.free(live.pop(rng.integers(len(live))).start)
+        assert lib.counters["free_list_hits"] > 0
+        assert lib.counters["mmaps"] > 0
+        for x, y in itertools.combinations(live, 2):
+            assert not x.overlaps(y), (x, y)
 
     def test_free_and_reuse(self):
         lib = self._alloc()
@@ -167,25 +185,3 @@ class TestAllocLib:
         with pytest.raises(ConfigError):
             lib.mmap(-1)
 
-
-class TestPoller:
-    def test_drains_watched_queues(self):
-        fabric = Fabric()
-        fabric.add_node("a")
-        fabric.add_node("b")
-        qp = QueuePair(fabric, "a", "b")
-        qp.register("a", 0, u.MB)
-        qp.register("b", 0, u.MB)
-        poller = Poller()
-        poller.watch(qp.cq)
-        qp.write(0, 0, 64, signaled=True)
-        qp.write(64, 64, 64, signaled=True)
-        drained = poller.drain()
-        assert drained == 2
-        assert poller.hidden_time_ns > 0
-        assert poller.counters["completions"] == 2
-
-    def test_poll_once_skips_empty_queues(self):
-        poller = Poller()
-        assert poller.poll_once() == []
-        assert poller.hidden_time_ns == 0

@@ -11,7 +11,7 @@ from repro.fpga.bitmap import DirtyBitmap
 from repro.fpga.translation import RemoteTranslationMap
 from repro.kona.config import KonaConfig
 from repro.kona.eviction import EvictionHandler
-from repro.kona.tracker import DirtyDataTracker, SnapshotDiffTracker
+from repro.kona.tracker import DirtyDataTracker
 from repro.net.fabric import Fabric
 from repro.net.ring import RECORD_BYTES
 
@@ -220,10 +220,9 @@ class TestBatchedEviction:
             assert not rt.eviction.can_defer()
             heal()
             assert rt.eviction.can_defer()
-        # A slow link or node delays transfers but never fails one;
-        # evictions may still wait.
+        # A slow link delays transfers but never fails one; evictions
+        # may still wait.
         fabric.delay_link("compute", "mem0", 500.0)
-        fabric.set_node_jitter("mem0", 1_000.0)
         assert rt.eviction.can_defer()
         rt.attach_data_plane()
         assert not rt.eviction.can_defer()
@@ -252,40 +251,3 @@ class TestDirtyDataTracker:
         tracker = DirtyDataTracker(DirtyBitmap())
         assert np.isnan(tracker.amplification_vs_page())
 
-
-class TestSnapshotDiffTracker:
-    def test_detects_changed_lines_only(self):
-        tracker = SnapshotDiffTracker()
-        page = np.zeros(u.PAGE_4K, dtype=np.uint8)
-        tracker.on_fetch(0, page)
-        current = page.copy()
-        current[0] = 1                 # line 0
-        current[130] = 7               # line 2
-        mask = tracker.diff_on_evict(0, current)
-        assert mask == 0b101
-
-    def test_identical_content_is_clean(self):
-        tracker = SnapshotDiffTracker()
-        page = np.arange(u.PAGE_4K, dtype=np.uint8) % 251
-        tracker.on_fetch(0, page)
-        assert tracker.diff_on_evict(0, page.copy()) == 0
-
-    def test_unsnapshotted_page_conservatively_dirty(self):
-        tracker = SnapshotDiffTracker()
-        mask = tracker.diff_on_evict(9, np.zeros(u.PAGE_4K, dtype=np.uint8))
-        assert mask == (1 << 64) - 1
-
-    def test_diff_cost_accumulates(self):
-        tracker = SnapshotDiffTracker()
-        page = np.zeros(u.PAGE_4K, dtype=np.uint8)
-        tracker.on_fetch(0, page)
-        tracker.diff_on_evict(0, page)
-        assert tracker.diff_time_ns > 0
-
-    def test_snapshot_consumed_by_diff(self):
-        tracker = SnapshotDiffTracker()
-        page = np.zeros(u.PAGE_4K, dtype=np.uint8)
-        tracker.on_fetch(0, page)
-        assert tracker.tracked_pages == 1
-        tracker.diff_on_evict(0, page)
-        assert tracker.tracked_pages == 0

@@ -1,9 +1,9 @@
-"""Tests for the TLB and shootdown models."""
+"""Tests for the TLB model."""
 
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.mem.tlb import TLB, ShootdownModel
+from repro.mem.tlb import TLB
 
 
 class TestTLB:
@@ -56,22 +56,3 @@ class TestTLB:
         assert tlb.counters["hits"] == 1
         assert tlb.counters["fills"] == 1
 
-
-class TestShootdown:
-    def test_scales_with_cores(self):
-        small = ShootdownModel(num_cores=2)
-        big = ShootdownModel(num_cores=16)
-        assert big.shootdown_ns(1) > small.shootdown_ns(1)
-
-    def test_batching_cheaper_than_individual(self):
-        model = ShootdownModel(num_cores=8)
-        batched = model.shootdown_ns(16)
-        individual = sum(model.shootdown_ns(1) for _ in range(16))
-        assert batched < individual
-
-    def test_zero_pages_free(self):
-        assert ShootdownModel().shootdown_ns(0) == 0.0
-
-    def test_invalid_cores_rejected(self):
-        with pytest.raises(ConfigError):
-            ShootdownModel(num_cores=0)

@@ -1,4 +1,4 @@
-"""Extended property-based tests: VMAs, PML, the KV store, pipeline."""
+"""Extended property-based tests: PML, the KV store, pipeline."""
 
 import numpy as np
 import pytest
@@ -10,62 +10,9 @@ import repro.common.units as u
 from repro.apps.kvstore import RemoteKVStore
 from repro.kona import KonaConfig, KonaRuntime
 from repro.kona.pipeline import EvictionPipeline
-from repro.mem.address import AddressRange
-from repro.mem.vma import VMA, VMAMap
 from repro.vm.faults import FaultPath, PageFaultModel
 from repro.vm.pml import PMLTracker
 from repro.vm.writeprotect import WriteProtectTracker
-
-
-class TestVMAProperties:
-    @given(st.lists(st.integers(0, 63), min_size=1, max_size=20,
-                    unique=True))
-    def test_inserted_vmas_never_overlap(self, slots):
-        m = VMAMap()
-        for slot in slots:
-            m.insert(VMA(AddressRange(slot * 8192, 4096)))
-        vmas = sorted(m, key=lambda v: v.range.start)
-        for a, b in zip(vmas, vmas[1:]):
-            assert a.range.end <= b.range.start
-
-    @given(st.lists(st.integers(0, 31), min_size=2, max_size=16,
-                    unique=True))
-    def test_split_then_merge_is_identity(self, slots):
-        m = VMAMap()
-        for slot in slots:
-            m.insert(VMA(AddressRange(slot * 16384, 16384), name="x"))
-        before = {(v.range.start, v.range.size) for v in m}
-        for slot in slots:
-            m.split(slot * 16384 + 8192)
-        while m.merge_adjacent():
-            pass
-        # Merging can also coalesce VMAs that were adjacent *before*
-        # the splits, so compare coverage, not fragment identity.
-        covered_before = sorted(
-            (start, start + size) for start, size in before)
-        covered_after = sorted(
-            (v.range.start, v.range.end) for v in m)
-        def flatten(spans):
-            out = []
-            for lo, hi in spans:
-                if out and out[-1][1] == lo:
-                    out[-1] = (out[-1][0], hi)
-                else:
-                    out.append((lo, hi))
-            return out
-        assert flatten(covered_before) == flatten(covered_after)
-
-    @given(st.integers(0, 2 ** 20), st.lists(st.integers(0, 15),
-                                             max_size=8, unique=True))
-    def test_gap_search_result_is_free(self, floor, slots):
-        m = VMAMap()
-        for slot in slots:
-            m.insert(VMA(AddressRange(slot * 8192, 8192)))
-        start = m.find_gap(8192, floor=floor)
-        assert start % u.PAGE_4K == 0
-        assert start >= floor - u.PAGE_4K
-        for vma in m:
-            assert not vma.range.overlaps(AddressRange(start, 8192))
 
 
 class TestPMLProperties:
