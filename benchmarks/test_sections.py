@@ -50,9 +50,13 @@ def test_sec61_kona_vm_vs_infiniswap(benchmark):
 def test_sec62_kcachesim_overhead(benchmark):
     """KCacheSim slowdown vs native replay (paper: 43X)."""
     slowdown = run_once(benchmark, run_sec62_simulation_overhead)
+    # The slowdown is a host timing that moves run to run, so the
+    # committed report holds the band verdict, not the figure.
+    floor = paper.KCACHESIM_SLOWDOWN_MIN
+    verdict = "pass" if slowdown > floor else "FAIL"
     write_report("sec62_simulation_overhead",
-                 f"KCacheSim slowdown vs native replay: {slowdown:.0f}X "
-                 f"(paper: 43X lower throughput)")
+                 f"KCacheSim slowdown vs native replay: band > {floor:.0f}X "
+                 f"(paper: 43X lower throughput): {verdict}")
     assert slowdown > paper.KCACHESIM_SLOWDOWN_MIN
 
 

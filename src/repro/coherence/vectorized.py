@@ -77,6 +77,11 @@ _WRITABLE = np.array([False, False, True, False, True])
 INVALIDATED = 0
 DOWNGRADED = 1
 
+#: Block size of :func:`next_impure`'s scan: big enough that a nearly
+#: pure span crosses it in a handful of argmin calls, small enough that
+#: an event-dense span does not rescan a long tail.
+_SCAN_BLOCK = 1024
+
 
 class VectorizedCoherentCache:
     """Array-backed coherent cache, state-equivalent to the dict cache.
@@ -418,3 +423,20 @@ class VectorizedCoherentCache:
     def occupancy(self) -> int:
         """Number of resident lines."""
         return sum(self._counts)
+
+
+def next_impure(pure: np.ndarray, p: int, end: int) -> int:
+    """Index of the first non-pure access in ``pure[p:end]``, else ``end``.
+
+    ``pure`` is a :meth:`VectorizedCoherentCache.classify` mask.  The
+    blocked argmin keeps the scan proportional to the distance to the
+    boundary, not to the span tail (bool argmin does not short-circuit).
+    """
+    while p < end:
+        stop = p + _SCAN_BLOCK
+        blk = pure[p:stop if stop < end else end]
+        r = int(blk.argmin())
+        if not blk[r]:
+            return p + r
+        p += blk.shape[0]
+    return end

@@ -23,8 +23,9 @@ recomputed: the evicted victim and any lines the directory invalidated
 mid-fill (FMem page evictions snoop every line of the victim page)
 become misses; the filled or upgraded line becomes a hit.  The
 256-access ``maybe_evict``/sampler-tick cadence is preserved by ending
-every span at a cadence point, and the trace is consumed in bounded
-chunks (no whole-trace ``tolist`` materialization).
+spans at cadence points, skipping only those where maintenance
+provably cannot act (see :func:`_run_span`), and the trace is consumed
+in bounded chunks (no whole-trace ``tolist`` materialization).
 
 The scalar loop remains in :meth:`KonaRuntime.run_trace` as the
 differential-test oracle (``engine="scalar"``), and it runs every
@@ -44,7 +45,7 @@ from ..coherence.states import LineState
 from ..coherence.vectorized import (DOWNGRADED, EXCLUSIVE, INVALID,
                                     INVALIDATED, MODIFIED, OWNED, SHARED,
                                     _EMPTY, _WRITABLE,
-                                    VectorizedCoherentCache)
+                                    VectorizedCoherentCache, next_impure)
 from ..common import units
 from ..common.errors import AddressError
 
@@ -58,11 +59,6 @@ _CHUNK = 1 << 14
 
 #: The ``i & 0xFF == 0`` maintenance period of the scalar loop.
 _CADENCE = 256
-
-#: Block size for the run/patch boundary scan: big enough that a
-#: nearly-pure span crosses it in a handful of argmin calls, small
-#: enough that an event-dense span does not rescan a long tail.
-_SCAN_BLOCK = 1024
 
 _LINE_SHIFT = units.CACHE_LINE.bit_length() - 1
 
@@ -1043,10 +1039,20 @@ def _run_span(rt: "KonaRuntime", front: VectorizedCoherentCache,
     ``i`` whenever ``i % 256 == 0``, so each segment extends through
     the next cadence index and maintenance fires at its end.  Returns
     the stall accumulator.
+
+    A hot span skips the cadence points where maintenance cannot act.
+    With no sampler and no replication backlog, ``maybe_evict`` acts
+    only when FMem occupancy has risen since it last ran, and only a
+    fill raises it.  A fill happens only in an event (a replayed miss
+    or upgrade), and every event is non-pure in the live masks.  So
+    once maintenance has run, one run/patch pass goes on to the cadence
+    point that closes the segment holding the next non-pure access (or
+    to the end of the span), and maintenance runs there.
     """
     m = int(tags.size)
     local = 0
     hot = False
+    idle = False   # maintenance has run and no event can have followed
     if m > _CADENCE:
         # Hot-span fast path: classify the whole chunk once and keep
         # the masks alive across cadence boundaries — boundary events
@@ -1060,9 +1066,9 @@ def _run_span(rt: "KonaRuntime", front: VectorizedCoherentCache,
             ages = np.arange(front._clock + 1, front._clock + 1 + m,
                              dtype=np.int64)
     while local < m:
-        g = g_base + local
-        cadence = g if g % _CADENCE == 0 else (g // _CADENCE + 1) * _CADENCE
-        end = min(cadence - g_base + 1, m)
+        nxt = next_impure(pure, local, m) if idle else local
+        # One past the cadence point at or after access ``nxt``.
+        end = min(-(-(g_base + nxt) // _CADENCE) * _CADENCE - g_base + 1, m)
         if hot:
             stall = _run_patch(rt, front, tags, w, pure, flat, ages,
                                local, end, stall, lane, seq0)
@@ -1088,6 +1094,9 @@ def _run_span(rt: "KonaRuntime", front: VectorizedCoherentCache,
                 front._mutations.clear()
             if tick is not None:
                 tick()
+            idle = (hot and tick is None
+                    and not (rt.replication is not None
+                             and rt.replication.backlog_slots))
         local = end
     return stall
 
@@ -1136,18 +1145,7 @@ def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
     inline_hits = 0
     p = start
     while p < end:
-        # First non-pure access at or after p.  Blocked argmin keeps
-        # the scan proportional to the distance to the boundary, not
-        # to the span tail (bool argmin does not short-circuit).
-        q = p
-        while q < end:
-            stop = q + _SCAN_BLOCK
-            blk = pure[q:stop if stop < end else end]
-            r = int(blk.argmin())
-            if not blk[r]:
-                q += r
-                break
-            q += blk.shape[0]
+        q = next_impure(pure, p, end)
         if q > p:
             front.bulk_hits(flat[p:q], w[p:q], ages[p:q])
             counters.add("cache_hits", q - p)

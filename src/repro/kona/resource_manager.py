@@ -2,10 +2,10 @@
 
 The resource manager talks to the rack controller *off the critical
 path*: it requests slabs in batches, binds each slab to a slab-aligned
-VFMem window in the remote-translation map, and installs always-present
-page-table entries for the window (paper section 4.4, "Allocating
-remote memory" — no physical memory is allocated, only translations to
-the fake VFMem space).
+VFMem window in the remote-translation map, and records the window in
+the page table once, as an always-present page range (paper section
+4.4, "Allocating remote memory" — no physical memory is allocated,
+only translations to the fake VFMem space).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from ..cluster.controller import RackController
 from ..cluster.slab import Slab
 from ..fpga.translation import RemoteTranslationMap
 from ..mem.address import AddressRange
-from ..mem.pagetable import PageTable, Protection
+from ..mem.pagetable import PageTable
 from .config import KonaConfig
 
 
@@ -88,20 +88,17 @@ class ResourceManager:
         self.counters.add("slabs_bound", len(primaries))
 
     def _map_window(self, vf_addr: int) -> None:
-        """Install always-present PTEs covering one VFMem window.
+        """Record one VFMem window as always-present pages.
 
         Pages are marked present immediately — VFMem is fake physical
         memory, so no data moves; this is what removes page faults from
-        Kona's data path.
+        Kona's data path.  One page-table record covers the window.
         """
         if self.page_table is None:
             return
         page_size = self.page_table.page_size
-        first = vf_addr // page_size
         count = self.config.slab_bytes // page_size
-        for vpn in range(first, first + count):
-            self.page_table.map(vpn, pfn=vpn, present=True,
-                                protection=Protection.READ_WRITE)
+        self.page_table.map_window(vf_addr // page_size, count)
         self.counters.add("pages_mapped", count)
 
     def release_all(self) -> None:

@@ -17,7 +17,6 @@ from .pagetable import (
     PageTable,
     PageTableEntry,
     Protection,
-    raise_for_fault,
 )
 from .tlb import TLB
 
@@ -36,6 +35,5 @@ __all__ = [
     "line_indices",
     "page_index",
     "page_indices",
-    "raise_for_fault",
     "word_indices",
 ]

@@ -6,18 +6,21 @@ tracking, and PTE churn plus TLB shootdowns for eviction.  Kona instead
 maps all remote data as *always present* in VFMem, so its page table is
 set up once and never touched on the data path (paper section 4.4).
 
-The model stores one :class:`PageTableEntry` per mapped virtual page
-and counts every operation so cost models can charge for PTE updates.
+The model stores one :class:`PageTableEntry` per page installed with
+:meth:`PageTable.map`.  A Kona VFMem window is recorded once, as a page
+range (:meth:`PageTable.map_window`); a window page's entry is built the
+first time something asks for it.  Every operation is counted so cost
+models can charge for PTE updates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Flag, auto
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..common import units
-from ..common.errors import ProtectionError, TranslationError
+from ..common.errors import TranslationError
 from ..common.stats import Counter
 
 
@@ -69,13 +72,10 @@ class PageTable:
             raise TranslationError(f"page size {page_size} not 4 KiB aligned")
         self.page_size = page_size
         self._entries: Dict[int, PageTableEntry] = {}
+        # Window records: [start, end) vpn ranges of identity-mapped,
+        # present, read-write pages (see map_window).
+        self._windows: List[Tuple[int, int]] = []
         self.counters = Counter()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[PageTableEntry]:
-        return iter(self._entries.values())
 
     def vpn_of(self, vaddr: int) -> int:
         """Virtual page number containing ``vaddr``."""
@@ -90,24 +90,29 @@ class PageTable:
         self.counters.add("pte_installs")
         return entry
 
-    def unmap(self, vpn: int) -> PageTableEntry:
-        """Remove a mapping (eviction path in page-based systems)."""
-        try:
-            entry = self._entries.pop(vpn)
-        except KeyError:
-            raise TranslationError(f"unmap of unmapped vpn {vpn}") from None
-        self.counters.add("pte_removals")
-        return entry
+    def map_window(self, first: int, count: int) -> None:
+        """Map ``count`` pages from vpn ``first`` identity, present and
+        read-write, as one record.
+
+        Counts as ``count`` installs and, like ``count`` :meth:`map`
+        calls, replaces any entry already built in the range.
+        """
+        end = first + count
+        for vpn in [v for v in self._entries if first <= v < end]:
+            del self._entries[vpn]
+        self._windows.append((first, end))
+        self.counters.add("pte_installs", count)
 
     def entry(self, vpn: int) -> Optional[PageTableEntry]:
-        """The entry for ``vpn``, or None if unmapped."""
-        return self._entries.get(vpn)
+        """The entry for ``vpn``, or None if unmapped.
 
-    def protect(self, vpn: int, protection: Protection) -> None:
-        """Change protection bits (write-protect round of dirty tracking)."""
-        entry = self._require(vpn)
-        entry.protection = protection
-        self.counters.add("pte_protect_changes")
+        A window page's entry is built on first use and kept, so its
+        present, accessed and dirty bits persist like any other.
+        """
+        entry = self._entries.get(vpn)
+        if entry is None and any(lo <= vpn < hi for lo, hi in self._windows):
+            entry = self._entries[vpn] = PageTableEntry(vpn=vpn, pfn=vpn)
+        return entry
 
     def mark_not_present(self, vpn: int) -> None:
         """Clear the present bit (page-based eviction)."""
@@ -117,7 +122,7 @@ class PageTable:
 
     def mark_present(self, vpn: int, pfn: int) -> None:
         """Set the present bit after a fetch completes."""
-        entry = self._entries.get(vpn)
+        entry = self.entry(vpn)
         if entry is None:
             self.map(vpn, pfn)
         else:
@@ -132,7 +137,7 @@ class PageTable:
         page-table walkers do.
         """
         vpn = self.vpn_of(vaddr)
-        entry = self._entries.get(vpn)
+        entry = self.entry(vpn)
         if entry is None or not entry.present:
             self.counters.add("faults_missing")
             return 0, FaultInfo(vpn=vpn, is_write=is_write,
@@ -148,27 +153,8 @@ class PageTable:
         self.counters.add("translations")
         return paddr, None
 
-    def dirty_vpns(self) -> Iterator[int]:
-        """Virtual pages with the hardware dirty bit set."""
-        return (e.vpn for e in self._entries.values() if e.dirty)
-
-    def clear_dirty(self, vpn: int) -> None:
-        """Clear the dirty bit (after writeback)."""
-        self._require(vpn).dirty = False
-        self.counters.add("pte_dirty_clears")
-
     def _require(self, vpn: int) -> PageTableEntry:
-        entry = self._entries.get(vpn)
+        entry = self.entry(vpn)
         if entry is None:
             raise TranslationError(f"vpn {vpn} is not mapped")
         return entry
-
-
-def raise_for_fault(fault: FaultInfo) -> None:
-    """Turn a :class:`FaultInfo` into the corresponding exception."""
-    if fault.missing:
-        raise TranslationError(
-            f"page {fault.vpn} not present ({'write' if fault.is_write else 'read'})")
-    raise ProtectionError(
-        f"page {fault.vpn} write-protected" if fault.is_write
-        else f"page {fault.vpn} not readable")

@@ -14,7 +14,7 @@ from repro.kona.alloclib import AllocLib
 from repro.kona.config import KonaConfig
 from repro.kona.resource_manager import ResourceManager
 from repro.mem.address import AddressRange
-from repro.mem.pagetable import PageTable
+from repro.mem.pagetable import PageTable, Protection
 from repro.net.fabric import Fabric
 
 
@@ -77,6 +77,33 @@ class TestResourceManager:
         vpn = 0
         entry = pt.entry(vpn)
         assert entry is not None and entry.present
+
+    def test_each_window_maps_present_identity_pages(self):
+        # Every page of every bound window reads present, identity-mapped
+        # and read-write; the page past the last window is unmapped.
+        rm, _, pt, _ = make_rm()
+        rm.ensure(48 * u.MB)
+        per_window = 16 * u.MB // pt.page_size
+        for first in range(0, 3 * per_window, per_window):
+            for vpn in (first, first + per_window - 1):
+                entry = pt.entry(vpn)
+                assert entry is not None and entry.present
+                assert entry.pfn == vpn
+                assert entry.protection == Protection.READ_WRITE
+        assert pt.entry(3 * per_window) is None
+        assert rm.counters["pages_mapped"] == 3 * per_window
+        assert pt.counters["pte_installs"] == 3 * per_window
+
+    def test_translate_on_window_page_sets_bits_without_fault(self):
+        rm, _, pt, _ = make_rm()
+        rm.ensure(1)
+        vaddr = 5 * pt.page_size + 72
+        paddr, fault = pt.translate(vaddr, is_write=True)
+        assert fault is None and paddr == vaddr
+        entry = pt.entry(5)
+        assert entry.accessed and entry.dirty
+        assert pt.counters["faults_missing"] == 0
+        assert pt.counters["faults_protection"] == 0
 
     def test_vfmem_exhaustion(self):
         rm, _, _, _ = make_rm()

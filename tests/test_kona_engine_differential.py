@@ -155,6 +155,58 @@ class TestConfigurationMatrix:
         self._assert_tsdb_timelines_identical(tracing=False)
 
 
+class TestMaintenanceSkip:
+    """Hot slices skip the cadence points where maintenance cannot act.
+
+    Each case warms a 512-line hot set, so its 16 Ki-access slices
+    classify hot, and then runs 128 Ki accesses where maintenance must
+    still act inside hot slices.
+    """
+
+    N_SKIP = 128 * 1024
+
+    @classmethod
+    def _assert_identical(cls, cold, prepare=lambda rt: None, **kwargs):
+        out = {}
+        for engine in ("scalar", "batched"):
+            rt = KonaRuntime(KonaConfig(vfmem_capacity=512 * u.MB, **kwargs),
+                             app_ns_per_access=70.0,
+                             num_memory_nodes=4)
+            region = rt.mmap(64 * u.MB)
+            warm = np.arange(512, dtype=np.int64) * u.CACHE_LINE
+            rt.run_trace(warm + np.int64(region.start),
+                         np.zeros(warm.size, dtype=bool), engine=engine)
+            prepare(rt)
+            addrs, writes = hot_trace(cls.N_SKIP, 64 * u.MB, hot_lines=512,
+                                      cold=cold)
+            report = rt.run_trace(addrs + np.int64(region.start), writes,
+                                  engine=engine)
+            out[engine] = (runtime_fingerprint(rt, report),
+                           eviction_state(rt.eviction, rt.controller))
+        assert out["scalar"] == out["batched"]
+        return rt
+
+    def test_watermark_reclaim_inside_hot_slices(self):
+        # 2% cold pages overflow a 1 MB FMem: the cadence point after
+        # a fill must still reclaim, however long the pure run after it.
+        rt = self._assert_identical(cold=0.02, fmem_capacity=1 * u.MB,
+                                    slab_bytes=16 * u.MB)
+        assert rt.counters["watermark_reclaims"] > 0
+
+    def test_replication_backlog_ticks_every_cadence_point(self):
+        # Each cadence point re-replicates one slot while a backlog
+        # exists, even where no event happened since the last one.
+        def fail_node(rt):
+            rt.controller.node("mem0").fail()
+            rt.on_memnode_failure("mem0")
+            assert rt.replication.backlog_slots == 32
+        rt = self._assert_identical(
+            cold=0.0001, prepare=fail_node, fmem_capacity=8 * u.MB,
+            slab_bytes=1 * u.MB, replication_factor=2,
+            rereplication_slots_per_tick=1)
+        assert rt.replication.backlog_slots == 0
+
+
 class TestEngineContract:
     def test_batched_is_default(self):
         rt = build_runtime()

@@ -1,5 +1,7 @@
 """Tests for the assembled Kona runtime (KLib facade)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,18 @@ class TestAllocationPath:
         assert rt.vfmem.contains_range(region)
         addr = rt.malloc(64)
         rt.free(addr)
+
+    def test_mmap_allocates_nothing_per_page(self):
+        # Binding 512 MB (131,072 pages) records each VFMem window in
+        # the page table once; one PTE per page would take ~25 MiB.
+        rt = KonaRuntime()
+        tracemalloc.start()
+        try:
+            rt.mmap(512 * u.MB)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 * u.MB
 
 
 class TestDataPath:

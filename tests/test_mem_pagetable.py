@@ -3,12 +3,8 @@
 import pytest
 
 import repro.common.units as u
-from repro.common.errors import ProtectionError, TranslationError
-from repro.mem.pagetable import (
-    PageTable,
-    Protection,
-    raise_for_fault,
-)
+from repro.common.errors import TranslationError
+from repro.mem.pagetable import PageTable, Protection
 
 
 class TestMapping:
@@ -30,17 +26,6 @@ class TestMapping:
         _, fault = pt.translate(100, is_write=True)
         assert fault is not None and fault.missing
 
-    def test_unmap(self):
-        pt = PageTable()
-        pt.map(1, 1)
-        pt.unmap(1)
-        _, fault = pt.translate(4096, is_write=False)
-        assert fault is not None
-
-    def test_unmap_missing_raises(self):
-        with pytest.raises(TranslationError):
-            PageTable().unmap(3)
-
     def test_huge_page_size(self):
         pt = PageTable(page_size=u.PAGE_2M)
         pt.map(0, 0)
@@ -59,31 +44,38 @@ class TestProtection:
         assert write_fault is not None
         assert write_fault.protection and not write_fault.missing
 
-    def test_protect_toggle(self):
-        pt = PageTable()
-        pt.map(0, 0)
-        pt.protect(0, Protection.READ)
-        _, fault = pt.translate(0, is_write=True)
-        assert fault is not None
-        pt.protect(0, Protection.READ_WRITE)
-        _, fault = pt.translate(0, is_write=True)
-        assert fault is None
-
     def test_dirty_and_accessed_bits(self):
         pt = PageTable()
         pt.map(0, 0)
         pt.translate(0, is_write=True)
         entry = pt.entry(0)
         assert entry.dirty and entry.accessed
-        pt.clear_dirty(0)
-        assert not pt.entry(0).dirty
 
-    def test_dirty_vpns(self):
+
+class TestWindows:
+    def test_window_entries_are_built_on_first_use(self):
         pt = PageTable()
-        pt.map(0, 0)
-        pt.map(1, 1)
-        pt.translate(4096, is_write=True)
-        assert list(pt.dirty_vpns()) == [1]
+        pt.map_window(16, 8)
+        pt.map_window(24, 8)
+        assert pt.entry(15) is None and pt.entry(32) is None
+        entry = pt.entry(31)
+        assert entry.present and entry.pfn == 31
+        pt.translate(31 * 4096, is_write=True)
+        assert pt.entry(31) is entry and entry.dirty
+        assert pt.counters["pte_installs"] == 16
+
+    def test_recording_a_window_again_resets_its_pages(self):
+        pt = PageTable()
+        pt.map_window(0, 4)
+        pt.mark_not_present(2)
+        pt.map_window(0, 4)
+        assert pt.entry(2).present
+
+    def test_unmapped_page_cannot_be_degraded(self):
+        pt = PageTable()
+        pt.map_window(0, 4)
+        with pytest.raises(TranslationError):
+            pt.mark_not_present(4)
 
 
 class TestPresence:
@@ -104,19 +96,6 @@ class TestPresence:
 
 
 class TestFaultRaising:
-    def test_missing_raises_translation_error(self):
-        pt = PageTable()
-        _, fault = pt.translate(0, is_write=False)
-        with pytest.raises(TranslationError):
-            raise_for_fault(fault)
-
-    def test_protection_raises_protection_error(self):
-        pt = PageTable()
-        pt.map(0, 0, protection=Protection.READ)
-        _, fault = pt.translate(0, is_write=True)
-        with pytest.raises(ProtectionError):
-            raise_for_fault(fault)
-
     def test_counters_track_operations(self):
         pt = PageTable()
         pt.map(0, 0)
