@@ -36,7 +36,7 @@ module is that someone:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..common import units
@@ -393,8 +393,7 @@ class ReplicationManager:
             if record.epoch < rset.epoch:
                 self.counters.add("stale_epoch_writes_fenced")
             offset = (record.vfmem_addr - self.vfmem_base) % self.slab_bytes
-            restamped = replace(
-                record,
+            restamped = record._replace(
                 remote_addr=rset.primary.remote_range.start + offset,
                 epoch=rset.epoch)
             moved.setdefault(rset.primary.node, []).append(restamped)

@@ -23,7 +23,8 @@ suites time through :func:`measure_variants`:
 
 The runtime suite's first (canonical) case also runs the capture-on
 and fleet-on variants, so one report carries the engine speedups and
-the observability overhead.  :func:`check_speedup` gates both: every
+the observability overhead, each the median of its per-round ratios
+to the plain replay.  :func:`check_speedup` gates both: every
 case against the floor derived for that exact case
 (:data:`RUNTIME_FLOORS`), capture and fleet against
 :data:`MAX_OVERHEAD`.  The kcachesim suite's canonical case is
@@ -38,10 +39,12 @@ import gc
 import json
 import os
 import platform
+import statistics
 import subprocess
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -93,11 +96,16 @@ def host_metadata() -> Dict[str, object]:
 
 
 class Run(NamedTuple):
-    """One timed replay: wall seconds, the state fingerprint, extras."""
+    """One timed replay: wall seconds, the state fingerprint, extras.
+
+    :func:`measure_variants` fills ``rounds`` on the run it returns
+    with the seconds of every run of that variant, in round order.
+    """
 
     seconds: float
     fingerprint: Dict[str, Any]
     extra: Dict[str, Any]
+    rounds: Tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -145,7 +153,8 @@ def _fingerprint_diff(a: Dict[str, Any], b: Dict[str, Any]) -> List[str]:
 def measure_variants(case, variants: Sequence[Variant],
                      runs: Dict[str, int]) -> Dict[str, Run]:
     """Time every variant of one case in one interleaved best-of-N
-    schedule; returns each variant's fastest run.
+    schedule; returns each variant's fastest run, its ``rounds`` the
+    seconds of all that variant's runs in round order.
 
     ``case`` is a :class:`BenchCase` or a :class:`RuntimeBenchCase`;
     ``runs`` maps each variant's name to its repeat count.  Each round
@@ -158,6 +167,7 @@ def measure_variants(case, variants: Sequence[Variant],
     """
     trace = case.trace()
     best: Dict[str, Run] = {}
+    rounds: Dict[str, List[float]] = {v.name: [] for v in variants}
     first: Optional[Run] = None
     for i in range(max(runs[v.name] for v in variants)):
         for variant in variants:
@@ -178,10 +188,12 @@ def measure_variants(case, variants: Sequence[Variant],
                         f"{variant.name} diverged from {first_name} on "
                         f"{case.workload}: fingerprint sections {diff} "
                         f"differ")
+            rounds[variant.name].append(run.seconds)
             if variant.name not in best \
                     or run.seconds < best[variant.name].seconds:
                 best[variant.name] = run
-    return best
+    return {name: run._replace(rounds=tuple(rounds[name]))
+            for name, run in best.items()}
 
 
 def _timing(seconds: float, runs: int, n: int) -> Dict[str, float]:
@@ -570,6 +582,11 @@ def _overhead_result(case: RuntimeBenchCase, best: Dict[str, Run],
     """The ``capture`` or ``fleet`` section: its replay against the
     plain batched replay of the same case, and its fault log.
 
+    ``overhead`` is the median, over the rounds both ran in, of the
+    variant's time over the plain replay's time in the same round: a
+    host-load phase slows both runs of a round, so it cancels in their
+    ratio, where a best-of-N ratio lets a lucky plain run and an
+    unlucky variant run stand for the whole schedule.
     ``fault_records`` counts every miss the runtime served, the
     warm-up's included, since the instrument is attached before it.
     """
@@ -580,7 +597,8 @@ def _overhead_result(case: RuntimeBenchCase, best: Dict[str, Run],
         "runs": runs[name],
         "off_seconds": plain.seconds,
         "on_seconds": run.seconds,
-        "overhead": run.seconds / plain.seconds,
+        "overhead": statistics.median(
+            on / off for on, off in zip(run.rounds, plain.rounds)),
         "max_overhead": MAX_OVERHEAD,
         "fault_records": run.extra["log"].n,
         "dominant_hop": run.extra["log"].dominant_hop(),
@@ -682,7 +700,9 @@ def run_runtime_bench(quick: bool = False,
         "quick": quick,
         "methodology": ("best-of-N wall time per variant (scalar and "
                         "batched engines; capture-on and fleet-on on "
-                        "the canonical case), runs interleaved on one "
+                        "the canonical case, whose overhead is the "
+                        "median of per-round ratios to the plain "
+                        "replay), runs interleaved on one "
                         "trace, fresh runtime per run after an untimed "
                         "hot-set warm-up where the case defines one; "
                         "every run's cross-layer fingerprint verified "

@@ -12,27 +12,24 @@ log framing, no remote scatter), so a threshold switches strategy
 per page — this is also what keeps Kona "on par" with page-granularity
 eviction when every line is dirty (Figure 11a at 64 lines).
 
-Replication (paper section 4.5): with ``replication_factor`` > 1 the
-same data is written to each replica before the eviction completes;
-the cost model charges the extra writes but they overlap on the wire.
-
-Durability under faults (also section 4.5): a writeback whose target
-node is unreachable is never dropped.  Dirty-line writes fail over to a
-live replica when one exists; otherwise the records park in a bounded
-:class:`PendingWritebackBuffer` and are redelivered by
-:meth:`EvictionHandler.drain_recovered` once the node returns.  Flushes
-to a live-but-flaky node retry under a seeded exponential-backoff
-:class:`~repro.common.retry.Retrier` before parking.  When the park
-fills past its watermark the handler signals backpressure, and records
-pushed past hard capacity charge a producer-throttle stall — the buffer
-still accepts them, because losing acknowledged-dirty data is the one
-failure mode the paper's design rules out.
+Replication (paper section 4.5): with ``replication_factor`` > 1 each
+replica is written before the eviction completes; the extra writes are
+charged but overlap on the wire.  A writeback to an unreachable node is
+never dropped: it fails over to a live replica, or parks in a bounded
+:class:`PendingWritebackBuffer` until
+:meth:`EvictionHandler.drain_recovered` redelivers it.  Flushes to a
+flaky node retry under a seeded exponential-backoff
+:class:`~repro.common.retry.Retrier` first.  Past the park's watermark
+the handler signals backpressure; records past its capacity charge a
+producer-throttle stall but are still accepted, because losing
+acknowledged-dirty data is the one failure mode the design rules out.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..common import units
 from ..common.clock import Account
@@ -41,36 +38,18 @@ from ..common.latency import DEFAULT_LATENCY, LatencyModel
 from ..common.retry import Retrier
 from ..common.stats import Counter
 from ..cluster.controller import RackController
-from ..fpga.translation import RemoteLocation, RemoteTranslationMap
+from ..fpga.translation import RemoteTranslationMap
 from ..net.fabric import Fabric
-from ..net.ring import RECORD_BYTES, LogRecord, pack_dirty_lines
-from ..obs.trace import Tracer, traced
+from ..net.ring import RECORD_BYTES, LogRecord
+from ..obs.trace import NULL_SPAN, Tracer, traced
 from .config import KonaConfig
 
 
 #: One bit per line of a 4 KiB page (the log record granularity).
 _PAGE_LINES_MASK = (1 << units.LINES_PER_PAGE) - 1
 
-
-def _mask_segments(mask: int):
-    """Contiguous dirty runs in a 64-bit line mask: (start, length).
-
-    Bit tricks keep this O(runs) instead of O(64): ``mask & -mask``
-    isolates the lowest set bit (skip the zeros below it in one step)
-    and ``(mask + 1) & ~mask`` isolates the bit just above the trailing
-    ones (the run length falls out of its position).
-    """
-    segments = []
-    i = 0
-    while mask:
-        zeros = (mask & -mask).bit_length() - 1
-        i += zeros
-        mask >>= zeros
-        run = ((mask + 1) & ~mask).bit_length() - 1   # trailing ones
-        segments.append((i, run))
-        i += run
-        mask >>= run
-    return segments
+#: Masks the copy-cost memo holds before it starts over (~2,250 per run).
+_COPY_MEMO_LIMIT = 1 << 14
 
 
 @dataclass
@@ -182,6 +161,8 @@ class EvictionHandler:
         # Pending log records per destination node, staged in the
         # RDMA-registered buffer until a batch is worth a doorbell.
         self._pending: Dict[str, List[LogRecord]] = {}
+        # Dirty mask -> (copy ns, segment count); see _copy_cost.
+        self._copy_costs: Dict[int, Tuple[float, int]] = {}
         self.writeback_buffer = PendingWritebackBuffer(
             config.pending_writeback_records,
             config.writeback_backpressure)
@@ -194,15 +175,14 @@ class EvictionHandler:
 
         That holds with no replication manager and no content shadow,
         a lossless fabric (``Fabric.lossless``), and every memory node
-        alive with ring room for the largest log flush this handler
-        makes (the batch threshold plus one page's lines): every
-        writeback then lands on its primary at the first attempt, so
-        nothing parks, no health transition fires and no retry or
-        link-loss RNG is drawn.  While it holds, the batched engine may
-        queue evicted pages past their drain (see
-        ``_FusedLane.drain_page``).  Chaos changes these inputs only
-        between trace chunks, so callers may evaluate it once per
-        slice.
+        alive with ring room for the largest log flush (the batch
+        threshold plus one page's lines): every writeback then lands on
+        its primary at the first attempt, so nothing parks, no health
+        transition fires and no retry or link-loss RNG is drawn.  While
+        it holds, the batched engine may queue evicted pages past their
+        drain (see ``_FusedLane.drain_page``).  Chaos changes these
+        inputs only between trace chunks, so callers may evaluate it
+        once per slice.
         """
         if self.replication is not None or self.content is not None:
             return False
@@ -225,50 +205,139 @@ class EvictionHandler:
         """Evict pages given their dirty-line masks, in order; returns
         each page's ns.
 
-        The handler's only eviction body.  Clean pages are dropped
-        silently (no network at all) — the big structural win over
-        page-based systems, which must either track at page granularity
-        or rewrite clean data — and are counted once per call.  Each
-        dirty page then takes the per-page failover and park path, in
-        ``page_addrs`` order (under a live tracer, inside its own
-        ``evict.page`` span), so every float chain — the
-        ``stats.account`` buckets, and the caller's sum of the returned
-        times — is charged page by page and one call over N pages
+        The handler's only eviction body, one pass over the batch.
+        Clean pages are dropped silently (no network at all) and counted
+        once per call.  Each dirty page, in order (under a live tracer,
+        in its own ``evict.page`` span), ships whole at
+        ``full_page_threshold`` dirty lines; otherwise its lines go to
+        the pending log of its primary, or of the first live replica (a
+        failover), or park when no copy is live.  Every float chain (the
+        ``stats.account`` buckets, the caller's sum of the returned
+        times) is charged page by page, a page's time keeping the
+        association ``scan + (copy + flush)``, so one call over N pages
         leaves the state of N one-page calls.
+
+        Each slab slot's primary and each node's liveness are looked up
+        once per call.  These memos are exact: the body changes neither
+        the translation map nor any node's liveness, and it drops them
+        after every call-out (a flush, a park, a whole-page write), the
+        only points where outside code runs (retries, health transitions,
+        SLO context providers).  Log-line stats and counters are summed
+        in the loop and published before every call-out: a park's health
+        transition may sample the ``eviction.*`` gauges.
         """
-        stats = self.stats
+        stats, counters = self.stats, self.counters
         n = len(page_addrs)
         elapsed = [0.0] * n
         dirty = [i for i, mask in enumerate(masks) if mask]
         stats.pages_evicted += n
         if len(dirty) < n:
             stats.clean_pages += n - len(dirty)
-            self.counters.add("silent_evictions", n - len(dirty))
+            counters.add("silent_evictions", n - len(dirty))
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
-        for i in dirty:
-            addr, mask = page_addrs[i], masks[i]
-            if tracing:
-                with tracer.span("evict.page", "evict", page=addr,
-                                 dirty_lines=mask.bit_count()) as span:
-                    elapsed[i] = self._evict_dirty(addr, mask)
-                    span.extend(elapsed[i])
-            else:
-                elapsed[i] = self._evict_dirty(addr, mask)
-        return elapsed
-
-    def _evict_dirty(self, vfmem_page_addr: int, dirty_mask: int) -> float:
-        dirty_lines = dirty_mask.bit_count()
+        charge = stats.account.charge
         # Scanning the bitmap for set bits costs per tracked line.
         scan = self.latency.bitmap_scan_per_line_ns * units.LINES_PER_PAGE
-        self.stats.account.charge("bitmap", scan)
-        self._emit("evict.bitmap_scan", scan)
-        elapsed = scan
-        if dirty_lines >= self.config.full_page_threshold:
-            elapsed += self._write_full_page(vfmem_page_addr)
-        else:
-            elapsed += self._log_dirty_lines(vfmem_page_addr, dirty_mask)
+        threshold = self.config.full_page_threshold
+        batch_bytes = self.config.rdma_batch_bytes
+        translation, content = self.translation, self.content
+        base, slab_bytes = translation.vfmem_base, translation.slab_bytes
+        copy_costs, pending = self._copy_costs, self._pending
+        homes: Dict[int, Tuple[str, int]] = {}  # slot -> (node, remote - addr)
+        alive = functools.cache(self._node_alive)
+        logged = 0              # log lines not yet in stats and counters
+        span = None             # the open evict.page span
+        try:
+            for i in dirty:
+                addr, mask = page_addrs[i], masks[i]
+                lines = mask.bit_count()
+                if tracing:
+                    span = tracer.span("evict.page", "evict", page=addr,
+                                       dirty_lines=lines)
+                    span.__enter__()
+                    tracer.emit("evict.bitmap_scan", scan, "evict")
+                charge("bitmap", scan)
+                if lines >= threshold:
+                    self._call_out(logged, homes, alive)
+                    logged = 0
+                    cost = self._write_full_page(addr)
+                else:
+                    slot = (addr - base) // slab_bytes
+                    if slot not in homes:
+                        loc = translation.resolve(addr)   # the primary
+                        homes[slot] = (loc.node, loc.remote_addr - addr)
+                    node, delta = homes[slot]
+                    up = alive(node)
+                    if not up:
+                        for replica in translation.resolve_replicas(addr)[1:]:
+                            if alive(replica.node):
+                                counters.add("eviction_failovers")
+                                node, up = replica.node, True
+                                delta = replica.remote_addr - addr
+                                break
+                    cost, segments = (copy_costs.get(mask)
+                                      or self._copy_cost(mask))
+                    charge("copy", cost)
+                    if tracing:
+                        tracer.emit("evict.copy", cost, "evict",
+                                    segments=segments)
+                    # Stage records, lowest line first, to log or to park.
+                    log = pending.setdefault(node, []) if up else []
+                    bits = mask & _PAGE_LINES_MASK
+                    logged += bits.bit_count()
+                    if content is None:
+                        remote = addr + delta
+                        while bits:
+                            low = bits & -bits
+                            log.append(LogRecord(
+                                remote + (low.bit_length() - 1)
+                                * units.CACHE_LINE))
+                            bits ^= low
+                    else:
+                        log.extend(self._records_for(addr, mask,
+                                                     addr + delta))
+                    if not up or len(log) * RECORD_BYTES >= batch_bytes:
+                        self._call_out(logged, homes, alive)
+                        logged = 0
+                        cost += (self.flush_node(node) if up
+                                 else self._park_records(node, log))
+                elapsed[i] = scan + cost
+                if tracing:
+                    span.extend(elapsed[i])
+                    span.__exit__(None, None, None)
+                    span = None
+        finally:
+            self._call_out(logged, homes, alive)
+            if span is not None:    # a page raised under a live tracer
+                span.__exit__(None, None, None)
         return elapsed
+
+    def _copy_cost(self, mask: int) -> Tuple[float, int]:
+        """(ns, runs) to copy a page's dirty runs, cold, into the log buffer
+        (Figure 11c's "Copy" slice), memoized: it depends only on the
+        mask and the latency model."""
+        segments, rest = [], mask
+        while rest:
+            # Skip the zeros below the lowest set bit; count the ones.
+            rest >>= (rest & -rest).bit_length() - 1
+            segments.append(((rest + 1) & ~rest).bit_length() - 1)
+            rest >>= segments[-1]
+        if len(self._copy_costs) >= _COPY_MEMO_LIMIT:
+            self._copy_costs.clear()
+        cost = self._copy_costs[mask] = (
+            self.latency.copy_segments_ns(segments), len(segments))
+        return cost
+
+    def _call_out(self, lines: int, homes: dict, alive) -> None:
+        """Before code outside the body runs: count the ``lines`` log
+        lines it staged, and drop its per-call memos."""
+        homes.clear()
+        alive.cache_clear()
+        if lines:
+            self.stats.lines_logged += lines
+            self.stats.dirty_bytes += lines * units.CACHE_LINE
+            self.counters.add("lines_enqueued", lines)
 
     def _emit(self, name: str, dur_ns: float, **args) -> None:
         """Record a child span when the tracer is live (hot-path cheap)."""
@@ -280,75 +349,40 @@ class EvictionHandler:
 
     def _write_full_page(self, vfmem_page_addr: int) -> float:
         page = self.config.page_size
-        locations = self._locations(vfmem_page_addr)
+        locations = self.translation.resolve_replicas(vfmem_page_addr)[
+            :self.config.replication_factor]
         copy = self.latency.memcpy_ns(page)
         self.stats.account.charge("copy", copy)
         self._emit("evict.copy", copy, nbytes=page)
-        live = [loc for loc in locations if self._location_alive(loc)]
+        live = [loc for loc in locations if self._node_alive(loc.node)]
         self.stats.full_page_writes += 1
         self.stats.dirty_bytes += page
         self.counters.add("full_page_writes")
         if not live:
-            # Every copy target is down: park the page as line records
-            # addressed to the primary so recovery can redeliver it.
+            # No copy is live: park the lines for the primary's recovery.
             records = self._records_for(vfmem_page_addr, _PAGE_LINES_MASK,
-                                        locations[0])
+                                        locations[0].remote_addr)
             self.counters.add("lines_enqueued", len(records))
             return copy + self._park_records(locations[0].node, records)
         if len(live) < len(locations):
             self.counters.add("replica_writes_skipped",
                               len(locations) - len(live))
-        wire = 0.0
-        for location in live:
-            wire = max(wire, self.latency.rdma_transfer_ns(
-                page, linked=True, signaled=False))
-            self.stats.wire_bytes += page
+        wire = self.latency.rdma_transfer_ns(page, linked=True, signaled=False)
+        self.stats.wire_bytes += page * len(live)
         self.stats.account.charge("rdma_write", wire)
         self._emit("rdma.write", wire, nbytes=page * len(live),
                    full_page=True)
         if self.content is not None and self.controller is not None:
-            # A whole-page write lands every written line's current
-            # content on each live copy; the store fences versions, so
-            # applying the same page twice is harmless.
+            # Every written line lands on each live copy; the stores
+            # fence versions, so applying a page twice is harmless.
             records = self._records_for(vfmem_page_addr, _PAGE_LINES_MASK,
-                                        live[0])
+                                        live[0].remote_addr)
             for location in live:
                 store = self.controller.node(location.node).store
                 for record in records:
                     store.apply(record)
             self.content.acknowledge(records)
         return copy + wire
-
-    # -- cache-line log path --------------------------------------------------------------
-
-    def _log_dirty_lines(self, vfmem_page_addr: int, dirty_mask: int) -> float:
-        primary = self.translation.resolve(vfmem_page_addr)
-        target = self._live_location(vfmem_page_addr, primary)
-        # Copy each dirty segment into the registered log buffer (the
-        # "Copy" slice of Figure 11c — the dominant cost).  Dirty lines
-        # are cold in the CPU caches, so the copy model charges a DRAM
-        # stall per segment, not a warm memcpy.
-        segments = [length for _, length in _mask_segments(dirty_mask)]
-        copy = self.latency.copy_segments_ns(segments)
-        self.stats.account.charge("copy", copy)
-        self._emit("evict.copy", copy, segments=len(segments))
-        if target is None:
-            # Primary and every replica unreachable: park for recovery.
-            records = self._records_for(vfmem_page_addr, dirty_mask, primary)
-            self.stats.lines_logged += len(records)
-            self.stats.dirty_bytes += len(records) * units.CACHE_LINE
-            self.counters.add("lines_enqueued", len(records))
-            return copy + self._park_records(primary.node, records)
-        records = self._records_for(vfmem_page_addr, dirty_mask, target)
-        pending = self._pending.setdefault(target.node, [])
-        pending.extend(records)
-        self.counters.add("lines_enqueued", len(records))
-        self.stats.lines_logged += len(records)
-        self.stats.dirty_bytes += len(records) * units.CACHE_LINE
-        elapsed = copy
-        if len(pending) * RECORD_BYTES >= self.config.rdma_batch_bytes:
-            elapsed += self.flush_node(target.node)
-        return elapsed
 
     def flush_node(self, node: str) -> float:
         """Ship the node's pending log with one RDMA write; wait for ack.
@@ -361,14 +395,12 @@ class EvictionHandler:
         records = self._pending.pop(node, [])
         if not records:
             return 0.0
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span("evict.flush", "evict", node=node,
-                             records=len(records)) as span:
-                elapsed = self._flush_records(node, records)
-                span.extend(elapsed)
-            return elapsed
-        return self._flush_records(node, records)
+        with (self.tracer.span("evict.flush", "evict", node=node,
+                               records=len(records))
+              if self.tracer is not None else NULL_SPAN) as span:
+            elapsed = self._flush_records(node, records)
+            span.extend(elapsed)
+        return elapsed
 
     def _flush_records(self, node: str, records: List[LogRecord]) -> float:
         elapsed = 0.0
@@ -458,12 +490,6 @@ class EvictionHandler:
 
     # -- helpers ------------------------------------------------------------------------------
 
-    def _locations(self, vfmem_page_addr: int) -> List[RemoteLocation]:
-        if self.config.replication_factor > 1:
-            return self.translation.resolve_replicas(vfmem_page_addr)[
-                :self.config.replication_factor]
-        return [self.translation.resolve(vfmem_page_addr)]
-
     def _node_alive(self, node_name: str) -> bool:
         """Whether ``node_name`` is up *and* reachable from here.
 
@@ -478,52 +504,24 @@ class EvictionHandler:
             return True
         return self.controller.node(node_name).alive
 
-    def _location_alive(self, location: RemoteLocation) -> bool:
-        return self._node_alive(location.node)
-
-    def _live_location(self, vfmem_page_addr: int,
-                       primary: RemoteLocation) -> Optional[RemoteLocation]:
-        """Primary if alive, else the first live replica, else None."""
-        if self._location_alive(primary):
-            return primary
-        for location in self.translation.resolve_replicas(
-                vfmem_page_addr)[1:]:
-            if self._location_alive(location):
-                self.counters.add("eviction_failovers")
-                return location
-        return None
-
     def _records_for(self, vfmem_page_addr: int, dirty_mask: int,
-                     location: RemoteLocation) -> List[LogRecord]:
-        """Log records for a page's dirty lines, addressed at ``location``.
-
-        With a data plane attached each record carries the line's VFMem
-        address, write version, current epoch and modeled payload, so
-        the receiving store can fence stale redeliveries and the
-        durability ledger can match acknowledgments to writes.
-        """
-        # Walk the set bits lowest first (ascending offsets), not all
-        # 64 positions: most masks are sparse.
-        offsets = []
-        mask = dirty_mask & _PAGE_LINES_MASK
-        while mask:
-            low = mask & -mask
-            offsets.append((low.bit_length() - 1) * units.CACHE_LINE)
-            mask ^= low
+                     remote_page: int) -> List[LogRecord]:
+        """Records for a page's dirty lines (ascending) at ``remote_page``
+        for whole pages, and stamped ones (VFMem address, version, epoch,
+        payload) for the data plane's fencing and ledger.  The body
+        stages the rest."""
+        offsets = [line * units.CACHE_LINE
+                   for line in range(units.LINES_PER_PAGE)
+                   if dirty_mask >> line & 1]
         if self.content is None:
-            records, _ = pack_dirty_lines(
-                [location.remote_addr + off for off in offsets])
-            return records
+            return [LogRecord(remote_page + off) for off in offsets]
         epoch = (self.replication.epoch_of(vfmem_page_addr)
                  if self.replication is not None else 0)
         records = []
         for off in offsets:
-            vfmem_addr = vfmem_page_addr + off
-            version, payload = self.content.content(vfmem_addr)
-            records.append(LogRecord(
-                remote_addr=location.remote_addr + off,
-                vfmem_addr=vfmem_addr, version=version,
-                epoch=epoch, payload=payload))
+            version, payload = self.content.content(vfmem_page_addr + off)
+            records.append(LogRecord(remote_page + off, vfmem_page_addr + off,
+                                     version, epoch, payload))
         return records
 
     def _park_records(self, node: str, records: List[LogRecord]) -> float:
@@ -533,7 +531,8 @@ class EvictionHandler:
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.instant("evict.park", "evict", node=node,
                                 records=len(records), overflow=overflow)
-        self._fault(f"writebacks parked for {node}")
+        if self.on_fault is not None:
+            self.on_fault(f"writebacks parked for {node}")
         if overflow == 0:
             return 0.0
         # Past hard capacity the producer is throttled: model the wait
@@ -584,8 +583,13 @@ class EvictionHandler:
                 continue
             records = self.writeback_buffer.drain(node)
             self.counters.add("lines_redelivered", len(records))
-            self._pending.setdefault(node, []).extend(records)
-            total += self.flush_node(node)
+            # A flush larger than the node's ring fails (and parks again).
+            step = (self.controller.node(node).log.capacity_records
+                    if self.controller is not None else len(records))
+            for lo in range(0, len(records), step):
+                self._pending.setdefault(node, []).extend(
+                    records[lo:lo + step])
+                total += self.flush_node(node)
         return total
 
     def _deliver(self, node_name: str, records: List[LogRecord]) -> None:
@@ -604,10 +608,6 @@ class EvictionHandler:
         # Remote unpack time is remote CPU time; it overlaps with the
         # producer, so it is recorded but not charged to eviction.
         self.counters.add("records_delivered", receipt.records)
-
-    def _fault(self, reason: str) -> None:
-        if self.on_fault is not None:
-            self.on_fault(reason)
 
     @property
     def pending_records(self) -> int:

@@ -102,10 +102,15 @@ class ResourceManager:
         self.counters.add("pages_mapped", count)
 
     def release_all(self) -> None:
-        """Return every slab to the rack (process teardown)."""
+        """Return every slab to the rack (process teardown) and drop
+        each window's translations and page-table record."""
         self.controller.release_slabs(self._slabs + self._replica_slabs)
         for vf_addr in self._windows:
             self.translation.unbind(vf_addr)
+            if self.page_table is not None:
+                page_size = self.page_table.page_size
+                self.page_table.unmap_window(
+                    vf_addr // page_size, self.config.slab_bytes // page_size)
         self._slabs.clear()
         self._replica_slabs.clear()
         self._windows.clear()

@@ -8,7 +8,8 @@ set up once and never touched on the data path (paper section 4.4).
 
 The model stores one :class:`PageTableEntry` per page installed with
 :meth:`PageTable.map`.  A Kona VFMem window is recorded once, as a page
-range (:meth:`PageTable.map_window`); a window page's entry is built the
+range (:meth:`PageTable.map_window`, dropped again with
+:meth:`PageTable.unmap_window`); a window page's entry is built the
 first time something asks for it.  Every operation is counted so cost
 models can charge for PTE updates.
 """
@@ -102,6 +103,22 @@ class PageTable:
             del self._entries[vpn]
         self._windows.append((first, end))
         self.counters.add("pte_installs", count)
+
+    def unmap_window(self, first: int, count: int) -> None:
+        """Drop the record :meth:`map_window` made for ``count`` pages
+        from vpn ``first``, and every entry built in its range.
+
+        Counts as ``count`` removals.  Raises if no such record exists.
+        """
+        end = first + count
+        try:
+            self._windows.remove((first, end))
+        except ValueError:
+            raise TranslationError(
+                f"no window of {count} pages at vpn {first}") from None
+        for vpn in [v for v in self._entries if first <= v < end]:
+            del self._entries[vpn]
+        self.counters.add("pte_removals", count)
 
     def entry(self, vpn: int) -> Optional[PageTableEntry]:
         """The entry for ``vpn``, or None if unmapped.

@@ -1,7 +1,7 @@
 """RDMA fabric and the cache-line eviction log."""
 
 from .fabric import Fabric, FaultEvent, FaultSchedule
-from .ring import RECORD_BYTES, LogRecord, RingBufferLog, pack_dirty_lines
+from .ring import RECORD_BYTES, LogRecord, RingBufferLog
 
 __all__ = [
     "Fabric",
@@ -10,5 +10,4 @@ __all__ = [
     "LogRecord",
     "RECORD_BYTES",
     "RingBufferLog",
-    "pack_dirty_lines",
 ]

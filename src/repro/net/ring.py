@@ -14,8 +14,7 @@ acknowledgments are batched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 from ..common import units
 from ..common.errors import ConfigError, NetworkError
@@ -26,9 +25,8 @@ from ..common.stats import Counter
 RECORD_BYTES = 8 + units.CACHE_LINE
 
 
-@dataclass(frozen=True, slots=True)
-class LogRecord:
-    """One dirty cache line in flight.
+class LogRecord(NamedTuple):
+    """One dirty cache line in flight (immutable and hashable).
 
     The replication layer stamps the optional fields: ``vfmem_addr``
     keys the line in the per-node content stores (−1 = legacy record,
@@ -74,11 +72,6 @@ class RingBufferLog:
         self._head += len(records)
         self.counters.add("records_appended", len(records))
 
-    @property
-    def bytes_outstanding(self) -> int:
-        """Bytes appended but not yet consumed (what an RDMA write ships)."""
-        return (self._head - self._tail) * RECORD_BYTES
-
     # -- consumer side --------------------------------------------------------------
 
     def consume(self, max_records: Optional[int] = None) -> List[LogRecord]:
@@ -106,12 +99,3 @@ class RingBufferLog:
 
     def __len__(self) -> int:
         return self._head - self._tail
-
-
-def pack_dirty_lines(line_addrs: List[int]) -> Tuple[List[LogRecord], int]:
-    """Build log records for a batch of dirty lines.
-
-    Returns the records and the total log bytes they occupy on the wire.
-    """
-    records = [LogRecord(remote_addr=a) for a in line_addrs]
-    return records, len(records) * RECORD_BYTES

@@ -8,7 +8,9 @@ time (a perturbed simulation, a capture that misses a fault) and what
 """
 
 import copy
+import statistics
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,9 +27,11 @@ from repro.experiments.bench import (
     RUNTIME_FLOORS,
     RUNTIME_QUICK_CASES,
     SCALAR,
+    Run,
     RuntimeBenchCase,
     Variant,
     _build_runtime,
+    _overhead_result,
     check_speedup,
     measure_variants,
     run_runtime_bench,
@@ -78,6 +82,13 @@ class TestMeasureVariants:
         assert best["capture"].extra["log"].n \
             == fingerprints[0]["runtime"]["cache_misses"]
 
+    def test_each_variant_keeps_its_rounds_in_order(self):
+        runs = {"batched": 3, "capture": 2}
+        best = measure_variants(SMALL, (BATCHED, CAPTURE), runs)
+        for name, count in runs.items():
+            assert len(best[name].rounds) == count
+            assert best[name].seconds == min(best[name].rounds)
+
     def test_perturbing_variant_raises_naming_sections(self):
         slower_app = Variant(
             "slower-app",
@@ -125,10 +136,26 @@ class TestRuntimeReport:
             section = payload[name]
             assert section["workload"] == "hot-mix-small"
             assert section["fault_records"] == every_miss
+            # One round each: the median of one paired ratio.
             assert section["overhead"] == pytest.approx(
                 section["on_seconds"] / section["off_seconds"])
         assert payload["fleet"]["snapshot_seconds"] > 0
         assert payload["fleet"]["fleet_components"] >= 2
+
+
+    def test_overhead_is_the_median_of_paired_round_ratios(self):
+        """A slow phase in round 2 hits both variants and cancels; the
+        best runs (1.25 s and 1.0 s, from different rounds) would read
+        1.25x."""
+        fp = {"accesses": 10}
+        log = SimpleNamespace(n=10, dominant_hop=lambda: "fab")
+        best = {"batched": Run(1.0, fp, {}, (1.0, 3.0, 1.2)),
+                "capture": Run(1.25, fp, {"log": log}, (1.3, 3.1, 1.25))}
+        section = _overhead_result(SMALL, best, "capture", {"capture": 3})
+        assert section["overhead"] == statistics.median(
+            [1.3 / 1.0, 3.1 / 3.0, 1.25 / 1.2])
+        assert section["overhead"] < 1.05
+        assert (section["on_seconds"], section["off_seconds"]) == (1.25, 1.0)
 
 
 class TestPerfGate:

@@ -6,7 +6,9 @@ import pytest
 import repro.common.units as u
 from repro.cluster.controller import RackController
 from repro.cluster.memnode import MemoryNode
+from repro.cluster.replication import DataPlane
 from repro.common.errors import NetworkError
+from repro.common.retry import Retrier, RetryPolicy
 from repro.fpga.bitmap import DirtyBitmap
 from repro.fpga.translation import RemoteTranslationMap
 from repro.kona.config import KonaConfig
@@ -14,6 +16,7 @@ from repro.kona.eviction import EvictionHandler
 from repro.kona.tracker import DirtyDataTracker
 from repro.net.fabric import Fabric
 from repro.net.ring import RECORD_BYTES
+from repro.obs.trace import Tracer
 
 from .conftest import eviction_state
 
@@ -153,46 +156,135 @@ def random_evictions(seed, n=160, threshold=56):
     return out
 
 
+def flush_boundary_evictions(seed, batch_records):
+    """One-line pages up to one record short of a log flush, a whole
+    page, the page whose line triggers the flush, another whole page,
+    then more one-line pages and two clean pages."""
+    rng = np.random.default_rng(seed)
+    pages = rng.choice(16 * u.MB // u.PAGE_4K, size=batch_records + 20,
+                       replace=False) * u.PAGE_4K
+    full = (1 << 64) - 1
+    masks = [1 << int(bit) for bit in rng.integers(0, 64, pages.size)]
+    masks[batch_records - 1] = masks[batch_records + 1] = full
+    masks[-2:] = [0, 0]
+    return list(zip(pages.tolist(), masks))
+
+
 class TestBatchedEviction:
     """One ``evict_pages`` call over N pages must leave exactly the
     state of N one-page calls on a twin handler: same per-page times
-    to the bit, same stats, account, counters, pending log and park."""
+    to the bit, same stats, account, counters, pending log and park,
+    and in each shape's extra state (the fabric's counters, the data
+    plane's stores and ledger, the tracer's events) the same again."""
 
     # A flush boundary every 40 records falls inside the batch many
     # times over.
     BATCH = 40 * 72
 
+    #: Each shape's twin: replicas, a failed node, a node cut off from
+    #: the compute node, a flaky link under a retrier, a data plane, a
+    #: live tracer, and which evictions go in.
+    SHAPES = {
+        "healthy": {},
+        "dead-primary-parks": {"dead": "m0"},
+        "replicas-2": {"replicas": 2},
+        "replicas-2-failover": {"replicas": 2, "dead": "m0"},
+        "partitioned-parks": {"partitioned": "m0"},
+        "flaky-retries-then-parks": {"flaky": "m0"},
+        "data-plane": {"data_plane": True},
+        "traced": {"traced": True},
+        "whole-pages-around-a-flush": {"around_flush": True},
+    }
+
     @staticmethod
-    def _twin(replicas, dead_primary):
+    def _twin(evictions, replicas=1, dead=None, partitioned=None,
+              flaky=None, data_plane=False, traced=False, **_):
         handler, controller = make_handler(replicas=replicas,
                                            batch=TestBatchedEviction.BATCH)
-        if dead_primary:
-            controller.node("m0").fail()
+        if dead:
+            controller.node(dead).fail()
+        if partitioned or flaky:
+            handler.fabric = controller.node("m0").fabric
+            handler.fabric.add_node("compute")
+        if partitioned:
+            handler.fabric.partition(["compute"], [partitioned])
+        if flaky:
+            handler.fabric.set_flaky("compute", flaky, 0.6, seed=3)
+            handler.retrier = Retrier(
+                RetryPolicy(max_attempts=2, base_backoff_ns=100.0), seed=5)
+        if data_plane:
+            handler.content = DataPlane()
+            for page, mask in evictions:
+                for line in range(64):
+                    for _ in range((mask >> line & 1) * (1 + line % 2)):
+                        handler.content.record_write(page + 64 * line)
+        if traced:
+            handler.tracer = Tracer(enabled=True)
         return handler, controller
 
-    @pytest.mark.parametrize("replicas,dead_primary", [
-        (1, False), (1, True), (2, False), (2, True)],
-        ids=["healthy", "dead-primary-parks", "replicas-2",
-             "replicas-2-failover"])
+    @staticmethod
+    def _state(handler, controller):
+        state = eviction_state(handler, controller)
+        state["records"] = (handler._pending,
+                            handler.writeback_buffer._parked)
+        state["stores"] = [controller.node(name).store._lines
+                           for name in controller.nodes]
+        state["acked"] = (handler.content.acknowledged
+                          if handler.content is not None else None)
+        state["events"] = (handler.tracer.events
+                           if handler.tracer is not None else None)
+        state["fabric"] = (handler.fabric.counters.as_dict()
+                           if handler.fabric is not None else None)
+        return state
+
+    @pytest.mark.parametrize("shape", list(SHAPES), ids=list(SHAPES))
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_one_call_equals_per_page_calls(self, replicas, dead_primary,
-                                            seed):
-        evictions = random_evictions(seed)
-        batched, batched_rack = self._twin(replicas, dead_primary)
-        single, single_rack = self._twin(replicas, dead_primary)
+    def test_one_call_equals_per_page_calls(self, shape, seed):
+        opts = self.SHAPES[shape]
+        evictions = (flush_boundary_evictions(seed, self.BATCH // 72)
+                     if opts.get("around_flush") else random_evictions(seed))
+        batched, batched_rack = self._twin(evictions, **opts)
+        single, single_rack = self._twin(evictions, **opts)
         got = batched.evict_pages([p for p, _ in evictions],
                                   [m for _, m in evictions])
         want = [single.evict_pages([page], [mask])[0]
                 for page, mask in evictions]
         assert [t.hex() for t in got] == [t.hex() for t in want]
-        assert (eviction_state(batched, batched_rack)
-                == eviction_state(single, single_rack))
-        assert batched.stats.clean_pages > 0
-        assert batched.stats.full_page_writes > 0
-        if dead_primary and replicas == 1:
-            assert batched.parked_records > 0
+        assert (self._state(batched, batched_rack)
+                == self._state(single, single_rack))
+        stats, counters = batched.stats, batched.counters
+        assert stats.clean_pages > 0
+        if opts.get("around_flush"):
+            assert stats.full_page_writes == 2
+            assert counters["log_flushes"] == 1
         else:
-            assert batched.counters["log_flushes"] > 1
+            assert stats.full_page_writes > 0
+        if "dead" in opts and opts.get("replicas", 1) == 1 \
+                or "partitioned" in opts:
+            assert batched.parked_records > 0
+            assert counters["log_flushes"] == 0
+        elif "flaky" in opts:
+            assert counters["flush_retries"] > 0
+            assert counters["flush_failures"] > 0
+            assert batched.parked_records > 0
+            assert counters["log_flushes"] > 1
+        elif not opts.get("around_flush"):
+            assert counters["log_flushes"] > 1
+        if "dead" in opts and opts.get("replicas") == 2:
+            assert counters["eviction_failovers"] > 0
+        if opts.get("data_plane"):
+            # Stamped records reached the store, and so did the
+            # written lines of every page shipped whole.
+            store = batched_rack.node("m0").store
+            assert len(store) > 0
+            for page, mask in evictions:
+                if mask.bit_count() >= 56:
+                    assert all(store.get(page + 64 * line) is not None
+                               for line in range(64) if mask >> line & 1)
+        if opts.get("traced"):
+            pages = [e for e in batched.tracer.events
+                     if e["name"] == "evict.page"]
+            assert len(pages) == sum(1 for _, m in evictions if m)
 
     def test_defer_proof(self):
         from repro.kona.runtime import KonaRuntime

@@ -43,6 +43,24 @@ class TestAllocationPath:
             tracemalloc.stop()
         assert peak < 1 * u.MB
 
+    def test_close_drops_every_window_record(self):
+        rt = KonaRuntime()
+        rt.mmap(64 * u.MB)
+        pt, per_window = rt.page_table, rt.config.slab_bytes // u.PAGE_4K
+        firsts = [vf // u.PAGE_4K for vf in rt.resource_manager._windows]
+        assert firsts
+        rt.close()
+        for first in firsts:
+            for vpn in (first, first + per_window - 1):
+                assert pt.entry(vpn) is None
+                faults = pt.counters["faults_missing"]
+                _, fault = pt.translate(vpn * u.PAGE_4K, is_write=False)
+                assert fault is not None and fault.missing
+                assert pt.counters["faults_missing"] == faults + 1
+        # Binding again records each window once.
+        rt.mmap(64 * u.MB)
+        assert len(pt._windows) == len(rt.resource_manager._windows)
+
 
 class TestDataPath:
     def test_no_page_faults_ever(self):

@@ -71,6 +71,18 @@ class TestWindows:
         pt.map_window(0, 4)
         assert pt.entry(2).present
 
+    def test_unmapping_a_window_drops_its_pages(self):
+        pt = PageTable()
+        pt.map_window(0, 4)
+        pt.map_window(4, 4)
+        pt.entry(2)
+        pt.unmap_window(0, 4)
+        assert pt.entry(2) is None and pt.entry(3) is None
+        assert pt.entry(4).present
+        assert pt.counters["pte_removals"] == 4
+        with pytest.raises(TranslationError):
+            pt.unmap_window(0, 4)
+
     def test_unmapped_page_cannot_be_degraded(self):
         pt = PageTable()
         pt.map_window(0, 4)

@@ -4,7 +4,7 @@ import pytest
 
 import repro.common.units as u
 from repro.common.errors import ConfigError, NetworkError
-from repro.net.ring import RECORD_BYTES, LogRecord, RingBufferLog, pack_dirty_lines
+from repro.net.ring import RECORD_BYTES, LogRecord, RingBufferLog
 
 
 class TestRing:
@@ -44,13 +44,6 @@ class TestRing:
         rest = ring.consume()
         assert len(rest) == 3
 
-    def test_bytes_outstanding(self):
-        ring = RingBufferLog()
-        ring.append([LogRecord(0)] * 3)
-        assert ring.bytes_outstanding == 3 * RECORD_BYTES
-        ring.consume()
-        assert ring.bytes_outstanding == 0
-
     def test_invalid_capacity(self):
         with pytest.raises(ConfigError):
             RingBufferLog(capacity_records=0)
@@ -62,11 +55,3 @@ class TestRing:
         assert ring.unacked_records == 1
         ring.acknowledge()
         assert ring.unacked_records == 0
-
-
-class TestPacking:
-    def test_pack_dirty_lines(self):
-        records, nbytes = pack_dirty_lines([0, 64, 128])
-        assert len(records) == 3
-        assert nbytes == 3 * RECORD_BYTES
-        assert records[1].remote_addr == 64
