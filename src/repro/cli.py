@@ -354,8 +354,10 @@ def cmd_bench(args: argparse.Namespace) -> None:
               f"{fast_label} {case[fast_label]['seconds']:.3f}s  "
               f"speedup {case['speedup']:.1f}x  "
               f"counters {'ok' if case['counters_match'] else 'MISMATCH'}")
-    for name in ("capture", "fleet"):
-        section = payload.get(name)
+    sections = [(name, payload.get(name)) for name in ("capture", "fleet")]
+    sections += [(f"{name}/miss-heavy", section)
+                 for name, section in payload.get("miss_heavy", {}).items()]
+    for name, section in sections:
         if section:
             print(f"{name:>18s}  {section['num_accesses']:>9,} accesses  "
                   f"off {section['off_seconds']:.3f}s  "

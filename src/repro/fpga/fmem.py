@@ -115,7 +115,8 @@ class FMemCache:
                 lines.pop(victim)
                 self._cache._occupied -= 1
                 dropped.append(victim * self.page_size)
-                self.counters.add("proactive_evictions")
+        if dropped:
+            self.counters.add("proactive_evictions", len(dropped))
         remaining = count - len(dropped)
         if remaining > 0 and self._cache.occupancy > 0:
             dropped.extend(self.evict_lru(remaining))

@@ -123,7 +123,9 @@ class _FusedLane:
     scalar run).  Dirty-victim bitmap marks are buffered and flushed
     through ``DirtyBitmap.mark_lines`` under the same rules, and also
     before any page drain's ``clear_page`` (which consumes them) and
-    any prefetch.  Evicted pages are queued as ``(page_addr, mask)``
+    any prefetch.  Capture rows staged by :meth:`replay` are written
+    at every ``flush``, before anything else can record.  Evicted
+    pages are queued as ``(page_addr, mask)``
     and handed to the eviction handler in one ``evict_pages`` call per
     flush (see :meth:`drain_page`): at every ``flush`` and before every
     prefetch, whose fill may evict a page through the agent's own
@@ -134,8 +136,8 @@ class _FusedLane:
         "rt", "front", "agent", "directory", "entries", "marks", "cap",
         "fm_cache", "fm_lines", "fm_policies", "fm_stats", "fm_ways",
         "fm_set_mask", "page_size", "tag_page_shift", "bitmap",
-        "account", "locate", "node_memo", "fabric_down", "extra_delays",
-        "failures", "read_base",
+        "account", "locate", "window_nodes", "vf_base", "slab_bytes",
+        "fabric_down", "extra_delays", "failures", "read_base", "staged",
         "remote_read_ns", "prefetch", "eager", "aid", "coh_ns",
         "fmem_ns", "fmem_ns_exact", "fill_bg_ns", "has_remainder",
         "snoop_ns", "last_page",
@@ -188,10 +190,15 @@ class _FusedLane:
         # between replay segments).  While ``fabric._down`` is empty and
         # replication is off, ``locate(line)`` is pure and only the
         # target *node* is consumed — and slab primaries cannot move
-        # (``rebind`` is replication-only) — so page -> node caches the
-        # whole resolve chain.  Likewise with no injected link delays
-        # the line-read cost is one latency-model constant.
-        self.node_memo: dict = {}
+        # (``rebind`` is replication-only) — so the node is a function
+        # of the line's slab window, the translation map's slot.  Only
+        # resolves that succeeded are memoized: an unbacked window
+        # raises from ``locate`` at every access, like the oracle.
+        # Likewise with no injected link delays the line-read cost is
+        # one latency-model constant.
+        self.window_nodes: dict = {}
+        self.vf_base = agent.translation.vfmem_base
+        self.slab_bytes = agent.translation.slab_bytes
         self.fabric_down = rt.fabric._down
         self.extra_delays = rt.fabric._extra_delay_ns
         self.failures = rt.failures
@@ -231,6 +238,9 @@ class _FusedLane:
         # the memoed page itself is drained.
         self.last_page = -1
         self.marks: list = []
+        # Capture rows ``(seq, line, node)`` a replayed segment staged
+        # (see :meth:`replay`), written as one block by :meth:`flush`.
+        self.staged: list = []
         # The eviction queue and whether it may hold pages past their
         # drain (EvictionHandler.can_defer, set once per slice).
         self.ev_pages: list = []
@@ -420,7 +430,14 @@ class _FusedLane:
         # frame, so a failed fetch cannot leave a dataless page
         # resident (same ordering as the scalar agent).
         self.d_remote += 1
-        location = self.locate(line)
+        if self.fabric_down or self.failures.replication is not None:
+            self.window_nodes.clear()
+            node = self.locate(line).node
+        else:
+            window = (line - self.vf_base) // self.slab_bytes
+            node = self.window_nodes.get(window)
+            if node is None:
+                node = self.window_nodes[window] = self.locate(line).node
         self.d_stat_misses += 1
         self.d_fm_fills += 1
         policy = self.fm_policies[fm_sidx]
@@ -437,13 +454,14 @@ class _FusedLane:
         policy.insert(page_tag)
         if victim_page is not None:
             self.drain_page(victim_page)
-        read_ns = self.remote_read_ns(location.node, units.CACHE_LINE)
+        read_ns = (self.remote_read_ns(node, units.CACHE_LINE)
+                   if self.extra_delays else self.read_base)
         cost = self.coh_ns + read_ns
         if self.has_remainder:
             self.account.charge("fill_background", self.fill_bg_ns)
         self.account.charge("remote_fetch", cost)
         if self.cap is not None:
-            self.cap.record(self.cap.seq, line, location.node, 1,
+            self.cap.record(self.cap.seq, line, node, 1,
                             self.coh_ns, read_ns, 0.0)
         self.last_page = page_tag   # just inserted: the set's MRU
         if self.prefetch is not None:
@@ -462,7 +480,8 @@ class _FusedLane:
         remaining cost.  Event order, float summation order and raised
         errors are identical to the method path; integer deltas
         accumulate in locals and fold into the lane (in a ``finally``,
-        so a mid-loop ``NodeFailure`` leaves totals scalar-exact).
+        so a mid-loop ``NodeFailure`` leaves totals scalar-exact), and
+        the capture rows the loop staged are written there too.
         """
         front = self.front
         way_mv = front._way_mv
@@ -510,13 +529,24 @@ class _FusedLane:
         # only survive a failure episode, so drop it when one starts.
         fast_locate = (not self.fabric_down
                        and self.failures.replication is None)
+        window_nodes = self.window_nodes
         if not fast_locate:
-            self.node_memo.clear()
-        node_memo = self.node_memo
-        nm_get = node_memo.get
+            window_nodes.clear()
+        wn_get = window_nodes.get
+        vf_base = self.vf_base
+        slab_bytes = self.slab_bytes
         fast_net = not self.extra_delays
         read_base = self.read_base
         cap = self.cap
+        # Stage capture rows where nothing in the segment can change
+        # the capture's health or flag state: a healthy fetch path, no
+        # injected delay (constant hops), no prefetcher, and evictions
+        # that wait in the queue (the handler cannot fault).  Staged
+        # rows are written before every detour that records through
+        # the agent (both call ``flush``) and when the segment ends.
+        stage = (cap is not None and fast_locate and fast_net
+                 and prefetch is None and self.defer)
+        stage_row = self.staged.append
         # Global access ordinal of the access aged ``age``: faults are
         # keyed by sequence number so streamed/sharded captures line up.
         seq_off = seq0 - age0
@@ -616,8 +646,11 @@ class _FusedLane:
                     else:
                         acct["fmem_hit"] += cost
                     if cap is not None:
-                        cap.record(seq_off + age, line, None, 0,
-                                   0.0, 0.0, cost)
+                        if stage:
+                            stage_row((seq_off + age, line, None))
+                        else:
+                            cap.record(seq_off + age, line, None, 0,
+                                       0.0, 0.0, cost)
                 elif page_tag in fm_all[fm_sidx := page_tag & fm_set_mask]:
                     l_stat_hits += 1
                     if fm_lru:
@@ -635,16 +668,19 @@ class _FusedLane:
                     else:
                         acct["fmem_hit"] += cost
                     if cap is not None:
-                        cap.record(seq_off + age, line, None, 0,
-                                   0.0, 0.0, cost)
+                        if stage:
+                            stage_row((seq_off + age, line, None))
+                        else:
+                            cap.record(seq_off + age, line, None, 0,
+                                       0.0, 0.0, cost)
                     last_page = page_tag
                 else:
                     l_remote += 1
                     if fast_locate:
-                        node = nm_get(page_tag)
+                        window = (line - vf_base) // slab_bytes
+                        node = wn_get(window)
                         if node is None:
-                            node = locate(line).node
-                            node_memo[page_tag] = node
+                            node = window_nodes[window] = locate(line).node
                     else:
                         node = locate(line).node
                     l_stat_misses += 1
@@ -672,8 +708,11 @@ class _FusedLane:
                         acct["fill_background"] += fill_bg
                     acct["remote_fetch"] += cost
                     if cap is not None:
-                        cap.record(seq_off + age, line, node, 1,
-                                   coh_ns, read_ns, 0.0)
+                        if stage:
+                            stage_row((seq_off + age, line, node))
+                        else:
+                            cap.record(seq_off + age, line, node, 1,
+                                       coh_ns, read_ns, 0.0)
                     last_page = page_tag   # just inserted: the set's MRU
                 if prefetch is not None:
                     self._flush_for_prefetch()
@@ -688,6 +727,8 @@ class _FusedLane:
                 stall_b["memory_stall"] += cost
                 misses += 1
         finally:
+            if self.staged:
+                self._write_staged()
             front.record_mutations = rec_muts
             self.last_page = last_page
             self.d_cache_hits += hits + upgrades
@@ -807,13 +848,71 @@ class _FusedLane:
         """:meth:`drain_page` for every page of a watermark reclaim.
 
         ``MemoryAgent.proactive_evict`` hands over all the pages
-        ``FMemCache.evict_lru`` dropped; each is drained in drop order,
-        so while the queue may wait the whole reclaim reaches the
-        eviction handler in one ``evict_pages`` call.
+        ``FMemCache.evict_lru`` dropped, in drop order.  While the queue
+        may wait, the reclaim is one array pass over the pages' rows of
+        the way index (VFMem is page-aligned, so page ``p`` is row ``p -
+        _tag0 // lines_per_page``): ``nonzero`` visits the resident
+        lines in drop order, then ascending line, the order the
+        per-page drains would visit them.  The pages' lines are
+        disjoint, so no drain reads another's writes, and a snooped
+        mark only sets its own page's mask: one marks flush before the
+        masks are popped in drop order leaves every mask as the
+        per-page flushes do.  The whole reclaim then joins the queue.
+        Otherwise each page is drained and delivered in turn, the
+        oracle's order.
         """
         page_size = self.page_size
-        for page_addr in page_addrs:
-            self.drain_page(page_addr // page_size)
+        if not self.defer:
+            for page_addr in page_addrs:
+                self.drain_page(page_addr // page_size)
+            return
+        if not page_addrs:
+            return
+        front = self.front
+        per_page = page_size >> _LINE_SHIFT
+        pages = np.array(page_addrs, dtype=np.int64) // page_size
+        page_list = pages.tolist()
+        self.d_snoops += per_page * len(page_list)
+        if self.last_page in page_list:
+            self.last_page = -1   # the memoed page is leaving FMem
+        whole = front._lines // per_page * per_page
+        way = front._way[:whole].reshape(-1, per_page)[
+            pages - front._tag0 // per_page]
+        rows, offs = way.nonzero()
+        tags = pages[rows] * per_page + offs
+        ways = front.ways
+        flat = (tags & front._set_mask) * ways + way[rows, offs] - 1
+        state = front._state[flat]
+        inval = state != SHARED   # clean copies survive the snoop
+        if not inval.all():
+            tags, flat, state = tags[inval], flat[inval], state[inval]
+        if tags.size:
+            front._way[tags - front._tag0] = 0
+            front._tags[flat] = _EMPTY
+            front._state[flat] = INVALID
+            front._age[flat] = 0
+            counts = front._counts
+            for sidx in (flat // ways).tolist():
+                counts[sidx] -= 1
+            tag_list = tags.tolist()
+            if front.record_mutations:
+                front._mutations.extend(
+                    (INVALIDATED, t) for t in tag_list)
+            entries = self.entries
+            for t in tag_list:
+                del entries[t << _LINE_SHIFT]
+            self.d_ext_inval += len(tag_list)
+            dirty = state >= OWNED
+            if dirty.any():
+                snooped = (tags[dirty] << _LINE_SHIFT).tolist()
+                self.marks.extend(snooped)
+                self.d_lines_snooped += len(snooped)
+                self.agent._last_access_ns = self.snoop_ns
+        if self.marks or self.d_writebacks:
+            self._flush_marks()
+        self.ev_pages.extend(page_addrs)
+        self.ev_masks.extend(map(self.bitmap.clear_page, page_list))
+        self.d_pages_evicted += len(page_list)
 
     # -- delta flushing -------------------------------------------------------
 
@@ -824,6 +923,13 @@ class _FusedLane:
             self.agent.counters.add("writebacks_tracked",
                                     self.d_writebacks)
             self.d_writebacks = 0
+
+    def _write_staged(self) -> None:
+        """Write the staged capture rows as one block, in order."""
+        seqs, lines, nodes = zip(*self.staged)
+        self.staged.clear()
+        self.cap.record_fetches(seqs, lines, nodes, self.fmem_ns,
+                                self.coh_ns, self.read_base)
 
     def _flush_evictions(self) -> None:
         """Hand the queued evictions to the runtime's handler."""
@@ -846,8 +952,10 @@ class _FusedLane:
         Called before maintenance ticks, around generic-path detours,
         between chunks and from the engine's ``finally`` so exceptional
         exits leave the same counter state as the scalar oracle.  The
-        eviction queue goes out here too.
+        eviction queue and the staged capture rows go out here too.
         """
+        if self.staged:
+            self._write_staged()
         if self.marks or self.d_writebacks:
             self._flush_marks()
         if self.ev_pages:
@@ -1144,54 +1252,58 @@ def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
     cap = rt._capture
     inline_hits = 0
     p = start
-    while p < end:
-        q = next_impure(pure, p, end)
-        if q > p:
-            front.bulk_hits(flat[p:q], w[p:q], ages[p:q])
-            counters.add("cache_hits", q - p)
-            p = q
-            if p >= end:
-                break
-        tag = int(tags[p])
-        age = int(ages[p])
-        isw = bool(w[p])
-        fslot = slot_of(tag)
-        if fslot >= 0 and (not isw or _WRITABLE_PY[state_b[fslot]]):
-            # A pure hit after all (an earlier event re-filled or
-            # upgraded the line): apply it like a bulk_hits singleton.
-            if isw:
-                state_b[fslot] = MODIFIED
-            age_b[fslot] = age
-            inline_hits += 1
-        elif fslot >= 0:
-            # Resident but not writable on a write: upgrade (S/O -> M).
-            if cap is not None:
-                cap.seq = seq0 + p   # a rare generic re-fill records
-            lane.upgrade(tag, age)
-            lane.d_cache_hits += 1
-            if front._mutations:
-                _patch_mutations(front, tags[p + 1:], w[p + 1:],
-                                 pure[p + 1:])
-        else:
-            if cap is not None:
-                cap.seq = seq0 + p
-            victim_tag, code, fill_flat, cost = lane.miss(tag, isw, age)
-            stall += cost
-            account.charge("memory_stall", cost)
-            lane.d_cache_misses += 1
-            # The victim left: any later access still marked as a pure
-            # hit on it must fall back to the event path.
-            if victim_tag is not None:
-                sel = tags[p + 1:] == victim_tag
-                if sel.any():
-                    pure[p + 1:][sel] = False
-            if front._mutations:
-                _patch_mutations(front, tags[p + 1:], w[p + 1:],
-                                 pure[p + 1:])
-        p += 1
-    if inline_hits:
-        front.counters.add("hits", inline_hits)
-        counters.add("cache_hits", inline_hits)
+    try:
+        while p < end:
+            q = next_impure(pure, p, end)
+            if q > p:
+                front.bulk_hits(flat[p:q], w[p:q], ages[p:q])
+                counters.add("cache_hits", q - p)
+                p = q
+                if p >= end:
+                    break
+            tag = int(tags[p])
+            age = int(ages[p])
+            isw = bool(w[p])
+            fslot = slot_of(tag)
+            if fslot >= 0 and (not isw or _WRITABLE_PY[state_b[fslot]]):
+                # A pure hit after all (an earlier event re-filled or
+                # upgraded the line): apply it like a bulk_hits singleton.
+                if isw:
+                    state_b[fslot] = MODIFIED
+                age_b[fslot] = age
+                inline_hits += 1
+            elif fslot >= 0:
+                # Resident but not writable on a write: upgrade (S/O -> M).
+                if cap is not None:
+                    cap.seq = seq0 + p   # a rare generic re-fill records
+                lane.upgrade(tag, age)
+                lane.d_cache_hits += 1
+                if front._mutations:
+                    _patch_mutations(front, tags[p + 1:], w[p + 1:],
+                                     pure[p + 1:])
+            else:
+                if cap is not None:
+                    cap.seq = seq0 + p
+                victim_tag, code, fill_flat, cost = lane.miss(tag, isw, age)
+                stall += cost
+                account.charge("memory_stall", cost)
+                lane.d_cache_misses += 1
+                # The victim left: any later access still marked as a pure
+                # hit on it must fall back to the event path.
+                if victim_tag is not None:
+                    sel = tags[p + 1:] == victim_tag
+                    if sel.any():
+                        pure[p + 1:][sel] = False
+                if front._mutations:
+                    _patch_mutations(front, tags[p + 1:], w[p + 1:],
+                                     pure[p + 1:])
+            p += 1
+    finally:
+        # Published even when an access raises, so the hit counts
+        # match the oracle, which counts each hit as it happens.
+        if inline_hits:
+            front.counters.add("hits", inline_hits)
+            counters.add("cache_hits", inline_hits)
     return stall
 
 

@@ -411,8 +411,7 @@ class EvictionHandler:
             records, moved = self.replication.redirect_records(node, records)
             for target, batch in moved.items():
                 self.counters.add("lines_redirected", len(batch))
-                self._pending.setdefault(target, []).extend(batch)
-                elapsed += self.flush_node(target)
+                elapsed += self._flush_ringfuls(target, batch)
             if not records:
                 return elapsed
         if not self._node_alive(node):
@@ -566,8 +565,7 @@ class EvictionHandler:
         for target, batch in moved.items():
             self.counters.add("lines_redelivered", len(batch))
             self.counters.add("lines_redirected", len(batch))
-            self._pending.setdefault(target, []).extend(batch)
-            total += self.flush_node(target)
+            total += self._flush_ringfuls(target, batch)
         return total
 
     @traced("evict.drain_recovered", cat="recovery")
@@ -583,13 +581,19 @@ class EvictionHandler:
                 continue
             records = self.writeback_buffer.drain(node)
             self.counters.add("lines_redelivered", len(records))
-            # A flush larger than the node's ring fails (and parks again).
-            step = (self.controller.node(node).log.capacity_records
-                    if self.controller is not None else len(records))
-            for lo in range(0, len(records), step):
-                self._pending.setdefault(node, []).extend(
-                    records[lo:lo + step])
-                total += self.flush_node(node)
+            total += self._flush_ringfuls(node, records)
+        return total
+
+    def _flush_ringfuls(self, node: str, records: List[LogRecord]) -> float:
+        """Stage ``records`` for ``node`` and flush them a ringful at a
+        time: a flush larger than the node's ring fails (and parks
+        again).  Returns simulated ns spent."""
+        step = max(self.controller.node(node).log.capacity_records
+                   if self.controller is not None else len(records), 1)
+        total = 0.0
+        for lo in range(0, len(records), step):
+            self._pending.setdefault(node, []).extend(records[lo:lo + step])
+            total += self.flush_node(node)
         return total
 
     def _deliver(self, node_name: str, records: List[LogRecord]) -> None:

@@ -7,10 +7,11 @@ outage) the replication/failover wait.  The flight recorder only sees
 these in aggregate; this module captures them **per access** without
 perturbing the simulation:
 
-* :class:`CausalCapture` is the hot-path sink.  The engine's replay
-  loops call :meth:`CausalCapture.record` once per miss with the hop
-  breakdown already in hand; the record lands in preallocated numpy
-  column arrays (no per-event Python objects).  When the staging block
+* :class:`CausalCapture` is the hot-path sink.  The engine calls
+  :meth:`CausalCapture.record` once per miss with the hop breakdown
+  already in hand, or :meth:`CausalCapture.record_fetches` once per
+  block of misses its replay loop staged; the records land in
+  preallocated numpy column arrays.  When the staging block
   fills, a vectorized drain folds it into the :class:`FaultLog`
   aggregate — ``np.unique`` spectra, window rollups, ``argpartition``
   top-K — so always-on capture stays within the bench overhead gate.
@@ -38,7 +39,7 @@ bit-identical to a capture-off run in every runtime-visible way.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -368,13 +369,15 @@ class FaultLog:
 class CausalCapture:
     """Columnar per-miss record sink for one runtime.
 
-    The engine stores each miss into preallocated numpy column arrays
-    (one scalar store per column); when ``capacity`` records are
-    staged, :meth:`_drain` folds the block into the :class:`FaultLog`
-    with vectorized numpy reductions.  ``seq`` — the global access
-    ordinal of the miss being served — is maintained by the engine
-    (``base`` counts accesses completed before the current run/chunk,
-    so streamed and monolithic replays number records identically).
+    The engine stores each miss into preallocated numpy column arrays,
+    one scalar store per column (:meth:`record`) or one slice per
+    column for a staged block (:meth:`record_fetches`); when
+    ``capacity`` records are staged, :meth:`_drain` folds the block
+    into the :class:`FaultLog` with vectorized numpy reductions.
+    ``seq`` — the global access ordinal of the miss being served — is
+    maintained by the engine (``base`` counts accesses completed
+    before the current run/chunk, so streamed and monolithic replays
+    number records identically).
     """
 
     def __init__(self, page_size: int = 4096, capacity: int = 1 << 15,
@@ -476,6 +479,63 @@ class CausalCapture:
         self._i = i + 1
         if self._i == self._capacity:
             self._drain()
+
+    def record_fetches(self, seq: Sequence[int], line: Sequence[int],
+                       node: Sequence[Optional[str]], fmem_ns: float,
+                       dir_ns: float, fab_ns: float) -> None:
+        """Store a block of demand-fill records, as :meth:`record` would
+        one by one: the same rows, drained at the same record counts.
+
+        A row whose ``node`` is None is an FMem hit with hops ``(0, 0,
+        fmem_ns)``; any other is a remote fetch from that node with
+        ``(dir_ns, fab_ns, 0)``.  The block's health and chaos flags are
+        the current ones, so the caller must know that neither changed
+        while its rows were served.
+        """
+        if self._repl_ns or self._used_replica:
+            # A pending failover outcome belongs to the next record.
+            first = node[0]
+            if first is None:
+                self.record(seq[0], line[0], None, 0, 0.0, 0.0, fmem_ns)
+            else:
+                self.record(seq[0], line[0], first, 1, dir_ns, fab_ns, 0.0)
+            seq, line, node = seq[1:], line[1:], node[1:]
+        n = len(node)
+        if not n:
+            return
+        codes = self._node_codes
+        for name in dict.fromkeys(node):
+            if name is not None and name not in codes:
+                codes[name] = len(self._node_names)
+                self._node_names.append(name)
+        code_of = {None: _LOCAL, **codes}.__getitem__
+        node_c = np.fromiter(map(code_of, node), dtype=np.int16, count=n)
+        remote = node_c >= 0
+        seq_c = np.array(seq, dtype=np.int64)
+        line_c = np.array(line, dtype=np.int64)
+        dir_c = np.where(remote, dir_ns, 0.0)
+        fab_c = np.where(remote, fab_ns, 0.0)
+        mem_c = np.where(remote, 0.0, fmem_ns)
+        flags = FLAG_FABRIC_DOWN if self._fabric_down else 0
+        pos = 0
+        while pos < n:
+            i = self._i
+            k = min(n - pos, self._capacity - i)
+            dst, src = slice(i, i + k), slice(pos, pos + k)
+            self._c_seq[dst] = seq_c[src]
+            self._c_line[dst] = line_c[src]
+            self._c_node[dst] = node_c[src]
+            self._c_kind[dst] = remote[src]
+            self._c_health[dst] = self._health
+            self._c_flags[dst] = flags
+            self._c_dir[dst] = dir_c[src]
+            self._c_fab[dst] = fab_c[src]
+            self._c_mem[dst] = mem_c[src]
+            self._c_repl[dst] = 0.0
+            self._i = i + k
+            pos += k
+            if self._i == self._capacity:
+                self._drain()
 
     # -- vectorized drain ---------------------------------------------------------
 

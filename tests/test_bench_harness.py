@@ -143,6 +143,29 @@ class TestRuntimeReport:
         assert payload["fleet"]["fleet_components"] >= 2
 
 
+    def test_miss_heavy_overheads_are_reported_not_gated(self):
+        """The miss-heavy case runs capture and fleet too; the report
+        carries their overheads, and the gate passes whatever they read."""
+        miss = RuntimeBenchCase("page-rank", 4_096, fmem_mb=8,
+                                label="page-rank-small")
+        miss_key = replace(miss, label=None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bench, "CANONICAL_RUNS", ONCE)
+            mp.setattr(bench, "MISS_HEAVY_CASE", miss_key)
+            mp.setattr(bench, "MISS_HEAVY_RUNS", ONCE)
+            report = run_runtime_bench(quick=True, cases=[SMALL, miss])
+        misses = report["cases"][1]["cache_misses"]
+        assert misses > 0.9 * miss.num_accesses
+        for name in ("capture", "fleet"):
+            section = report["miss_heavy"][name]
+            assert section["workload"] == "page-rank-small"
+            assert section["fault_records"] == misses   # no warm-up
+        over = gated(report)
+        for section in over["miss_heavy"].values():
+            section["overhead"] = 2 * MAX_OVERHEAD
+        assert check_speedup(over, 1.0, {SMALL_KEY: 1.0, miss_key: 0.0}) \
+            == []
+
     def test_overhead_is_the_median_of_paired_round_ratios(self):
         """A slow phase in round 2 hits both variants and cancels; the
         best runs (1.25 s and 1.0 s, from different rounds) would read

@@ -122,3 +122,40 @@ class TestParkFailoverDrainCycles:
         final = writeback_conservation(rt)
         assert final.passed, final.detail
         rt.close()
+
+
+class TestRedirectedParks:
+    """Writebacks parked for a primary that then fails over reach the
+    promoted primary a ringful per flush: a flush larger than the ring
+    fails, retries and parks again."""
+
+    def test_a_park_larger_than_a_ring_is_redelivered(self):
+        rt = build_failover_runtime(seed=3)
+        region = rt.mmap(8 * u.MB)
+        handler = rt.eviction
+        primary = rt.replication.sets[
+            rt.replication.slot_of(region.start)].primary.node
+        ring = rt.controller.node(primary).log.capacity_records
+        lines = ring + 500
+        records = []
+        for page in range(region.start, region.start + lines * u.CACHE_LINE,
+                          u.PAGE_4K):
+            count = min(lines - len(records), u.PAGE_4K // u.CACHE_LINE)
+            for line in range(count):
+                rt.content.record_write(page + line * u.CACHE_LINE)
+            remote = rt.translation.resolve(page).remote_addr
+            records += handler._records_for(page, (1 << count) - 1, remote)
+        assert len(records) == lines
+        handler.writeback_buffer.park(primary, records)
+        delivered = handler.counters["records_delivered"]
+
+        rt.controller.node(primary).fail()
+        rt.on_memnode_failure(primary)
+
+        assert handler.counters["records_delivered"] - delivered == lines
+        assert handler.counters["lines_redelivered"] == lines
+        assert handler.counters["flush_failures"] == 0
+        assert handler.counters["flush_retries"] == 0
+        assert handler.parked_records == 0
+        assert all(rt.content.acknowledged.get(r.vfmem_addr) == 1
+                   for r in records)

@@ -17,6 +17,9 @@ import numpy as np
 import pytest
 
 import repro.common.units as u
+from repro.coherence.directory import DirectoryEntry
+from repro.coherence.states import LineState
+from repro.common.errors import TranslationError
 from repro.experiments.bench import (RUNTIME_FLOORS, RUNTIME_QUICK_CASES,
                                      check_speedup, runtime_fingerprint)
 from repro.kona.config import KonaConfig
@@ -32,11 +35,12 @@ REGION = 32 * u.MB
 ENGINES = ("scalar", "batched")
 
 
-def build_runtime(**overrides):
+def build_runtime(cpu_cache_capacity=8 * u.MB, **overrides):
     defaults = dict(fmem_capacity=4 * u.MB, vfmem_capacity=256 * u.MB,
                     slab_bytes=16 * u.MB)
     defaults.update(overrides)
-    return KonaRuntime(KonaConfig(**defaults), app_ns_per_access=70.0)
+    return KonaRuntime(KonaConfig(**defaults), app_ns_per_access=70.0,
+                       cpu_cache_capacity=cpu_cache_capacity)
 
 
 def miss_heavy_trace(n, seed, region_bytes=REGION, hot_lines=512,
@@ -233,6 +237,107 @@ class TestStreamedAndSharded:
             out[engine] = (result.totals.as_dict(), result.elapsed_ns,
                            result.fault_log().aggregate())
         assert out["batched"] == out["scalar"]
+
+
+
+def capture_state(cap):
+    """The capture's aggregate and what the aggregate is blind to: the
+    seeded reservoir, which depends on record order and on where the
+    staging block drains, and the count of records it saw."""
+    log = cap.log
+    return log.aggregate(), log.reservoir, log.reservoir_seen
+
+
+class TestCaptureAndFetchPaths:
+    """Capture order and drain points, priced fetches, an unbacked
+    window and 8 KiB pages: each run on both engines with a capture
+    that drains every 1,000 records."""
+
+    @staticmethod
+    def _assert_identical(drive, reservoir_size=256, **overrides):
+        got = {}
+        for engine in ENGINES:
+            rt = build_runtime(**overrides)
+            cap = rt.attach_causal_capture(capacity=1000,
+                                           reservoir_size=reservoir_size)
+            region = rt.mmap(REGION)
+            report = drive(rt, np.int64(region.start), engine)
+            got[engine] = (runtime_fingerprint(rt, report),
+                           eviction_state(rt.eviction, rt.controller),
+                           [list(s.items()) for s in rt.cpu_cache._sets],
+                           capture_state(cap))
+        assert got["batched"] == got["scalar"]
+        return rt
+
+    def test_records_keep_their_order_and_drain_points(self):
+        addrs, writes = miss_heavy_trace(N, 43)
+        self._assert_identical(lambda rt, base, engine: rt.run_trace(
+            addrs + base, writes, engine=engine))
+
+    def test_link_delay_between_chunks(self):
+        # About half the accesses miss, so segments both replay and
+        # patch: remote fetches in the middle chunk pay the delay on
+        # both fill paths, and capture cannot stage them.
+        addrs, writes = miss_heavy_trace(3 * 2048, 47, cold=0.5)
+
+        def drive(rt, base, engine):
+            def chunks():
+                yield addrs[:2048] + base, writes[:2048]
+                rt.fabric.delay_link("compute", "mem0", 500.0)
+                yield addrs[2048:4096] + base, writes[2048:4096]
+                rt.fabric.clear_delay("compute", "mem0")
+                yield addrs[4096:] + base, writes[4096:]
+            return rt.run_trace_stream(chunks(), engine=engine)
+
+        rt = self._assert_identical(drive)
+        assert rt.agent.account["remote_fetch"] > 0
+
+    def test_unmapped_window_in_a_miss_heavy_segment(self):
+        # Mapping REGION binds four 16 MB windows, 2 * REGION in all; a
+        # line past them has no remote backing.  Its fetch raises in
+        # the middle of a segment, after the capture drained once.
+        addrs, writes = miss_heavy_trace(N, 53)
+        addrs[1_300] = 2 * REGION + 7 * u.CACHE_LINE
+
+        def drive(rt, base, engine):
+            with pytest.raises(TranslationError):
+                rt.run_trace(addrs + base, writes, engine=engine)
+            return rt.run_trace(np.zeros(0, np.int64), np.zeros(0, bool),
+                                engine=engine)
+
+        self._assert_identical(drive)
+
+    def test_generic_detour_inside_a_staged_segment(self):
+        # A directory entry the CPU cache does not hold (planted: no
+        # single-agent run leaves one) sends its line's miss down the
+        # generic path, which records through the agent.  The rows the
+        # segment staged before it must be written first: a reservoir
+        # as large as the run keeps every record in capture order.
+        addrs, writes = miss_heavy_trace(N, 61)
+        planted = REGION - u.CACHE_LINE
+        addrs[1_300], writes[1_300] = planted, False
+        assert np.count_nonzero(addrs == planted) == 1
+
+        def drive(rt, base, engine):
+            aid = rt.cpu_cache.agent_id
+            rt.agent.directory._entries[int(base) + planted] = \
+                DirectoryEntry(LineState.SHARED, None, {aid}).encode()
+            return rt.run_trace(addrs + base, writes, engine=engine)
+
+        self._assert_identical(drive, reservoir_size=N)
+
+    def test_reclaim_with_8k_pages(self):
+        # 128 lines per page: the reclaim's array pass over the way
+        # index reads rows of 128.  A 64 KiB CPU cache keeps its sets
+        # full, so a set's resident count must drop with each line the
+        # pass invalidates.
+        addrs, writes = miss_heavy_trace(10_000, 59, write_frac=0.6)
+        rt = self._assert_identical(
+            lambda rt, base, engine: rt.run_trace(addrs + base, writes,
+                                                  engine=engine),
+            page_size=8192, fmem_capacity=1 * u.MB,
+            cpu_cache_capacity=64 * u.KB)
+        assert rt.counters["watermark_reclaims"] > 0
 
 
 def gate_entry(case, speedup):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import repro.common.units as u
-from repro.common.errors import AddressError, ConfigError
+from repro.common.errors import (AddressError, ConfigError, NodeFailure,
+                                 TranslationError)
 from repro.experiments.bench import runtime_fingerprint
 from repro.experiments.chaos import (REGION_BYTES, build_chaos_runtime,
                                      chaos_stream)
@@ -277,6 +278,40 @@ class TestEngineContract:
         with pytest.raises(ConfigError):
             rt.run_trace(np.zeros(4, dtype=np.int64),
                          np.zeros(3, dtype=bool))
+
+    @pytest.mark.parametrize("fault, trace_bytes, seed, error", [
+        pytest.param("every-node-down", 32 * u.MB, 4, NodeFailure,
+                     id="every-node-down"),
+        # Mapping 32 MB binds the first four 16 MB windows; cold lines
+        # past them have no remote backing.
+        pytest.param("unmapped-window", 128 * u.MB, 9, TranslationError,
+                     id="unmapped-window"),
+    ])
+    def test_fetch_that_raises_in_a_patched_span(self, fault, trace_bytes,
+                                                 seed, error):
+        # The raise ends a run/patch pass whose earlier accesses include
+        # hits on lines an event of the same pass filled: the batched
+        # engine must count them as the oracle does.
+        state = {}
+        for engine in ("scalar", "batched"):
+            rt = build_runtime(fmem_capacity=1 * u.MB)
+            region = rt.mmap(32 * u.MB)
+            addrs, writes = hot_trace(N, 32 * u.MB)
+            rt.run_trace(addrs + np.int64(region.start), writes,
+                         engine=engine)
+            if fault == "every-node-down":
+                for name in rt.controller.nodes:
+                    rt.controller.node(name).fail()
+            addrs, writes = hot_trace(N, trace_bytes, seed=seed)
+            with pytest.raises(error):
+                rt.run_trace(addrs + np.int64(region.start), writes,
+                             engine=engine)
+            report = rt.run_trace(np.zeros(0, np.int64), np.zeros(0, bool),
+                                  engine=engine)
+            state[engine] = (runtime_fingerprint(rt, report),
+                             eviction_state(rt.eviction, rt.controller),
+                             [list(s.items()) for s in rt.cpu_cache._sets])
+        assert state["scalar"] == state["batched"]
 
 
 class TestChaosCampaign:

@@ -208,6 +208,43 @@ class TestFaultLogReductions:
         assert "dominant_hop" in payload
 
 
+
+class TestRecordFetches:
+    """``record_fetches`` stores a block as per-row ``record`` calls
+    would, across drains and with a failover outcome pending."""
+
+    @staticmethod
+    def _state(cap):
+        log = cap.log
+        return (log.aggregate(), log.exemplars, log.reservoir,
+                log.reservoir_seen, cap._node_names)
+
+    def test_block_equals_rows(self):
+        rng = np.random.default_rng(5)
+        n = 300
+        seq = list(range(1000, 1000 + n))
+        line = (rng.integers(0, 1 << 20, n) * u.CACHE_LINE).tolist()
+        node = [None if x < 0.5 else f"mem{int(x * 10) % 3}"
+                for x in rng.random(n)]
+        rows = CausalCapture(capacity=64, reservoir_size=16)
+        block = CausalCapture(capacity=64, reservoir_size=16)
+        for cap in (rows, block):
+            cap.on_health("RECOVERING")
+            # A replica read the previous fetch stashed but never
+            # recorded: the next record carries it.
+            cap._repl_ns, cap._used_replica = 10_000.0, True
+        for s, a, name in zip(seq, line, node):
+            if name is None:
+                rows.record(s, a, None, 0, 0.0, 0.0, 220.0)
+            else:
+                rows.record(s, a, name, 1, 70.0, 1519.32, 0.0)
+        for lo, hi in ((0, 100), (100, n)):
+            block.record_fetches(seq[lo:hi], line[lo:hi], node[lo:hi],
+                                 220.0, 70.0, 1519.32)
+        assert block.log.replica_faults == 1
+        assert self._state(block) == self._state(rows)
+
+
 class TestTailAnomalies:
     def _log_with_spike(self, spike_window=7, windows=12, per=64):
         cap = CausalCapture(window_size=256)
