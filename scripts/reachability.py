@@ -69,6 +69,10 @@ ENTRIES: List[Tuple[str, List[str]]] = [
     ("trace-replay hot sharded", REPRO + [
         "trace-replay", "--input", "hot4m.trace", "--chunk", "1048576",
         "--shards", "2", "--processes", "2", "--rss-ceiling-mb", "1024"]),
+    ("trace-replay hot 3 shards fleet", REPRO + [
+        "trace-replay", "--input", "hot4m.trace", "--chunk", "1048576",
+        "--shards", "3", "--processes", "2",
+        "--fleet-out", "shard-fleet.json", "--rss-ceiling-mb", "1024"]),
     ("trace-gen miss", REPRO + ["trace-gen", "--out", "miss.trace",
                                 "--accesses", "1048576", "--region-mb", "256",
                                 "--hot-lines", "4096",

@@ -153,9 +153,18 @@ def shard_mask(addrs: np.ndarray, shard: int, num_shards: int,
     """The boolean partition mask: page-modulo ownership.
 
     Pages (not lines) are the unit so a shard owns whole FMem fetch
-    blocks — a page's lines never split across runtimes.
+    blocks — a page's lines never split across runtimes.  With a
+    power-of-two page size and shard count the owner is taken by shift
+    and mask on an int64 view: the arithmetic shift changes only high
+    bits of the page number, which the mask drops, so addresses at or
+    above 2^63 get the modulo's owner too.
     """
-    pages = np.asarray(addrs, dtype=np.uint64) // np.uint64(page_size)
+    addrs = np.asarray(addrs, dtype=np.uint64)
+    if not (page_size & (page_size - 1) or num_shards & (num_shards - 1)):
+        pages = addrs.view(np.int64) >> (page_size.bit_length() - 1)
+        pages &= num_shards - 1
+        return pages == shard
+    pages = addrs // np.uint64(page_size)
     return pages % np.uint64(num_shards) == np.uint64(shard)
 
 
@@ -163,29 +172,27 @@ def _aligned_chunks(parts: Iterator[Tuple[np.ndarray, np.ndarray]]
                     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Re-chunk a filtered stream to maintenance-cadence multiples.
 
-    Partition filtering leaves ragged chunk lengths; buffering to
-    ``_CADENCE`` multiples keeps ``run_trace_stream``'s bit-exactness
-    contract (only the final chunk may be ragged).
+    Partition filtering leaves ragged chunk lengths, and
+    ``run_trace_stream`` is bit-exact only if just the last chunk is
+    ragged.  Each part's aligned body is yielded as a slice of it; only
+    the ragged tail is carried, topped up from the next part's head.
     """
-    addr_parts: List[np.ndarray] = []
-    write_parts: List[np.ndarray] = []
-    buffered = 0
+    tail: Optional[Tuple[np.ndarray, np.ndarray]] = None
     for addrs, writes in parts:
-        if not addrs.size:
-            continue
-        addr_parts.append(addrs)
-        write_parts.append(writes)
-        buffered += int(addrs.size)
-        if buffered >= _CADENCE:
-            addr_buf = np.concatenate(addr_parts)
-            write_buf = np.concatenate(write_parts)
-            emit = buffered - (buffered % _CADENCE)
-            yield addr_buf[:emit], write_buf[:emit]
-            addr_parts = [addr_buf[emit:]]
-            write_parts = [write_buf[emit:]]
-            buffered -= emit
-    if buffered:
-        yield np.concatenate(addr_parts), np.concatenate(write_parts)
+        if tail is not None:
+            head = min(_CADENCE - tail[0].size, addrs.size)
+            tail = (np.concatenate((tail[0], addrs[:head])),
+                    np.concatenate((tail[1], writes[:head])))
+            addrs, writes = addrs[head:], writes[head:]
+            if tail[0].size < _CADENCE:
+                continue
+            yield tail
+        body = addrs.size - addrs.size % _CADENCE
+        if body:
+            yield addrs[:body], writes[:body]
+        tail = (addrs[body:], writes[body:]) if body < addrs.size else None
+    if tail is not None:
+        yield tail
 
 
 def run_shard(spec: ShardSpec) -> ShardOutcome:
@@ -209,10 +216,13 @@ def run_shard(spec: ShardSpec) -> ShardOutcome:
 
     def parts():
         for addrs, writes in columnar.iter_chunks(spec.chunk_size):
-            keep = shard_mask(addrs, spec.shard, spec.num_shards)
-            if keep.any():
-                yield (addrs[keep].astype(np.int64),
-                       np.asarray(writes[keep]))
+            # Gather from plain views: memmap indexing wraps each result.
+            addrs = addrs.view(np.ndarray)
+            keep = np.flatnonzero(
+                shard_mask(addrs, spec.shard, spec.num_shards))
+            if keep.size:
+                yield (addrs.view(np.int64).take(keep),
+                       writes.view(np.ndarray).take(keep))
 
     report = rt.run_trace_stream(_aligned_chunks(parts()),
                                  engine=spec.engine, base=region.start)

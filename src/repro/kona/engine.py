@@ -150,7 +150,7 @@ class _FusedLane:
         "d_fm_fills", "d_fm_evictions", "d_stat_hits", "d_stat_misses",
         "d_stat_evictions", "d_stat_dirty", "n_fmem_charges",
         "d_snoops", "d_lines_snooped", "d_ext_inval", "d_pages_evicted",
-        "ev_pages", "ev_masks", "defer",
+        "ev_pages", "ev_masks", "defer", "raised_seq",
     )
 
     def __init__(self, rt: "KonaRuntime",
@@ -246,6 +246,9 @@ class _FusedLane:
         self.ev_pages: list = []
         self.ev_masks: list = []
         self.defer = False
+        # Global ordinal of the access that raised, set only on the
+        # exception path of the replay and run/patch loops.
+        self.raised_seq: Optional[int] = None
         self.d_cache_hits = 0
         self.d_cache_misses = 0
         self.d_front_hits = 0
@@ -726,6 +729,9 @@ class _FusedLane:
                 stall += cost
                 stall_b["memory_stall"] += cost
                 misses += 1
+        except BaseException:
+            self.raised_seq = seq_off + age
+            raise
         finally:
             if self.staged:
                 self._write_staged()
@@ -1113,6 +1119,7 @@ def run_trace_batched(rt: "KonaRuntime",
                 if limit < n:
                     # Same behaviour as the scalar loop: every access
                     # before the bad one has executed; the bad one raises.
+                    pos += limit
                     raise AddressError(
                         f"{int(a[limit]):#x} is not Kona-managed memory")
                 pos += n
@@ -1121,12 +1128,17 @@ def run_trace_batched(rt: "KonaRuntime",
             # FMem pages, e.g. ``maybe_evict``).
             lane.flush()
             lane.last_page = -1
-        if cap is not None:
-            cap.base = seq_base + pos
     finally:
         if front is not None:
             lane.flush()
             _export(rt, front)
+        if cap is not None:
+            # The oracle advances the base once per access it starts,
+            # after the address check: an access that raised past the
+            # check counts, an address outside VFMem does not.
+            cap.base = (seq_base + pos if front is None
+                        or lane.raised_seq is None
+                        else lane.raised_seq + 1)
     return stall
 
 
@@ -1298,6 +1310,9 @@ def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
                     _patch_mutations(front, tags[p + 1:], w[p + 1:],
                                      pure[p + 1:])
             p += 1
+    except BaseException:
+        lane.raised_seq = seq0 + p
+        raise
     finally:
         # Published even when an access raises, so the hit counts
         # match the oracle, which counts each hit as it happens.

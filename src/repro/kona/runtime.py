@@ -501,8 +501,8 @@ class KonaRuntime:
         if cap is not None:
             # Scalar path: each access is the next global ordinal.  The
             # batched engine numbers a stream's faults from ``base`` and
-            # advances it by the stream's length, so both engines
-            # number faults identically.
+            # advances it past every access it started, also when one
+            # raises, so both engines number faults identically.
             cap.seq = cap.base
             cap.base += 1
         hit = self.cpu_cache.access(addr, is_write)

@@ -32,15 +32,42 @@ def _specs(trace_dir, num_shards, **kw):
     return make_shards(trace_dir, num_shards, **kw)
 
 
+def wide_addrs(seed, page_size):
+    """Random uint64 addresses, about half of them at or above 2^63,
+    and the edges of both halves of the address space."""
+    rng = np.random.default_rng(seed)
+    addrs = rng.integers(0, 1 << 64, 10_000, dtype=np.uint64)
+    addrs[:2_500] >>= np.uint64(1)
+    addrs[2_500:5_000] |= np.uint64(1 << 63)
+    edges = [0, page_size - 1, page_size, (1 << 63) - 1, 1 << 63,
+             (1 << 63) + page_size, (1 << 64) - page_size, (1 << 64) - 1]
+    addrs[-len(edges):] = edges
+    return addrs
+
+
 class TestPartition:
-    @pytest.mark.parametrize("num_shards", [1, 2, 3, 7])
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 4, 5, 7, 8])
     def test_masks_disjoint_and_covering(self, num_shards):
-        rng = np.random.default_rng(0)
-        addrs = rng.integers(0, 1 << 30, 10_000).astype(np.uint64)
+        addrs = wide_addrs(0, units.PAGE_4K)
         owners = np.zeros(addrs.size, dtype=int)
         for shard in range(num_shards):
             owners += shard_mask(addrs, shard, num_shards)
         assert (owners == 1).all()
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 4, 5, 7, 8])
+    @pytest.mark.parametrize("page_size", [units.PAGE_4K, 8192, 3 * 4096])
+    def test_owner_is_the_page_modulo(self, num_shards, page_size):
+        # Power-of-two page sizes and shard counts take the owner by
+        # shift and mask on an int64 view; the others divide.  Both
+        # must give every address, high ones included, the owner
+        # ``page % num_shards`` computed on Python ints.
+        addrs = wide_addrs(num_shards, page_size)
+        owner = np.array([a // page_size % num_shards
+                          for a in addrs.tolist()])
+        for shard in range(num_shards):
+            assert np.array_equal(
+                shard_mask(addrs, shard, num_shards, page_size),
+                owner == shard)
 
     def test_mask_is_page_granular(self):
         # Every line of a 4 KB page belongs to the same shard, so an
@@ -78,6 +105,34 @@ class TestAlignedChunks:
         assert np.array_equal(
             np.concatenate([a for a, _ in chunks]),
             np.concatenate([a for a, _ in parts]))
+
+    def test_aligned_parts_pass_through_as_views(self):
+        # With no tail carried, a part's cadence-aligned body is handed
+        # on as a slice of the part, not copied.
+        rng = np.random.default_rng(2)
+        parts = [(rng.integers(0, 999, size).astype(np.int64),
+                  rng.random(size) < 0.5) for size in (512, 256, 700)]
+        chunks = list(_aligned_chunks(iter(parts)))
+        assert [a.size for a, _ in chunks] == [512, 256, 512, 188]
+        for (addrs, writes), (part_a, part_w) in zip(chunks, parts):
+            assert np.shares_memory(addrs, part_a)
+            assert np.shares_memory(writes, part_w)
+
+    def test_tail_carried_across_parts_keeps_order_and_total(self):
+        # Parts smaller than the cadence, empty ones among them: the
+        # tail grows across several parts before a chunk is emitted.
+        rng = np.random.default_rng(3)
+        sizes = [100, 0, 50, 30, 90, 7, 300, 0, 255, 1, 40, 600, 3]
+        parts = [(rng.integers(0, 1 << 40, size).astype(np.int64),
+                  rng.random(size) < 0.5) for size in sizes]
+        chunks = list(_aligned_chunks(iter(parts)))
+        assert all(a.size % 256 == 0 for a, _ in chunks[:-1])
+        assert all(a.size == w.size for a, w in chunks)
+        assert sum(a.size for a, _ in chunks) == sum(sizes)
+        for column in (0, 1):
+            assert np.array_equal(
+                np.concatenate([c[column] for c in chunks]),
+                np.concatenate([p[column] for p in parts]))
 
 
 class TestShardedRun:

@@ -15,11 +15,14 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.common.units as u
 from repro.coherence.directory import DirectoryEntry
 from repro.coherence.states import LineState
-from repro.common.errors import TranslationError
+from repro.common.errors import (AddressError, NodeFailure,
+                                 TranslationError)
 from repro.experiments.bench import (RUNTIME_FLOORS, RUNTIME_QUICK_CASES,
                                      check_speedup, runtime_fingerprint)
 from repro.kona.config import KonaConfig
@@ -338,6 +341,75 @@ class TestCaptureAndFetchPaths:
             page_size=8192, fmem_capacity=1 * u.MB,
             cpu_cache_capacity=64 * u.KB)
         assert rt.counters["watermark_reclaims"] > 0
+
+
+def run_stream(rt, addrs, writes, engine, streamed):
+    """One ``run_trace``, or a stream of three-cadence chunks."""
+    if not streamed:
+        return rt.run_trace(addrs, writes, engine=engine)
+    step = 3 * 256
+    return rt.run_trace_stream(
+        ((addrs[i:i + step], writes[i:i + step])
+         for i in range(0, addrs.size, step)), engine=engine)
+
+
+class TestRaiseThenResume:
+    """A run that raises at a drawn access, then a non-empty run on the
+    same runtime.  The oracle advances the capture's base once per
+    access it starts, after the address check: an address outside
+    VFMem is not counted, a fetch that raises is.  The resumed run
+    numbers its records from there on both engines."""
+
+    PAGES = 256         # warmed into FMem; the trace stays on them
+    HOT_LINES = 512     # fits the 64 KB CPU cache: hit-heavy segments
+    N = 2_048
+
+    def _trace(self, rng, n, hot_share):
+        lines = rng.integers(0, self.PAGES * 64, n)
+        hot = rng.random(n) < hot_share
+        lines[hot] = rng.integers(0, self.HOT_LINES, int(hot.sum()))
+        return lines * u.CACHE_LINE, rng.random(n) < 0.4
+
+    @pytest.mark.parametrize("streamed", [False, True],
+                             ids=["monolithic", "streamed"])
+    @pytest.mark.parametrize("path", ["address", "unmapped-window",
+                                      "every-node-down"])
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), at=st.integers(0, N - 1),
+           hot_share=st.sampled_from([0.0, 0.5, 0.97]))
+    def test_resume_numbers_faults_like_the_oracle(self, path, streamed,
+                                                   seed, at, hot_share):
+        got = {}
+        for engine in ENGINES:
+            rng = np.random.default_rng(seed)
+            rt = build_runtime(cpu_cache_capacity=64 * u.KB)
+            cap = rt.attach_causal_capture(capacity=1000)
+            base = np.int64(rt.mmap(REGION).start)
+            warm = np.concatenate((np.arange(self.PAGES) * u.PAGE_4K,
+                                   np.arange(self.HOT_LINES) * u.CACHE_LINE))
+            rt.run_trace(warm + base, np.zeros(warm.size, bool),
+                         engine=engine)
+            addrs, writes = self._trace(rng, self.N, hot_share)
+            addrs += base
+            if path == "address":
+                addrs[at], error = 7, AddressError
+            elif path == "unmapped-window":
+                # Mapping REGION binds 2 * REGION of windows.
+                addrs[at], error = base + 2 * REGION, TranslationError
+            else:
+                # Every earlier access hits FMem; this page's fetch is
+                # the run's first.
+                addrs[at], error = base + REGION // 2, NodeFailure
+                for name in rt.controller.nodes:
+                    rt.controller.node(name).fail()
+            with pytest.raises(error):
+                run_stream(rt, addrs, writes, engine, streamed)
+            addrs, writes = self._trace(rng, self.N // 2, hot_share)
+            report = run_stream(rt, addrs + base, writes, engine, streamed)
+            got[engine] = (cap.base, runtime_fingerprint(rt, report),
+                           eviction_state(rt.eviction, rt.controller),
+                           capture_state(cap))
+        assert got["batched"] == got["scalar"]
 
 
 def gate_entry(case, speedup):
