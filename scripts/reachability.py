@@ -97,6 +97,17 @@ ENTRIES: List[Tuple[str, List[str]]] = [
     ("trace-replay write batched", REPRO + [
         "trace-replay", "--input", "write128k.trace", "--fmem-mb", "32",
         "--engine", "batched"]),
+    ("trace-gen hot 256k", REPRO + ["trace-gen", "--out", "hot256k.trace",
+                                    "--accesses", "262144",
+                                    "--region-mb", "64",
+                                    "--hot-lines", "512",
+                                    "--cold-fraction", "0.01"]),
+    ("trace-replay hot 256k scalar", REPRO + [
+        "trace-replay", "--input", "hot256k.trace", "--fmem-mb", "1",
+        "--engine", "scalar"]),
+    ("trace-replay hot 256k batched", REPRO + [
+        "trace-replay", "--input", "hot256k.trace", "--fmem-mb", "1",
+        "--engine", "batched"]),
     # CI: chaos-smoke, failover-smoke, obs-smoke.
     ("chaos", REPRO + ["chaos", "--seed", "0", "--ops", "12000"]),
     ("chaos failover traced", REPRO + [

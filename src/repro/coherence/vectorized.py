@@ -50,6 +50,8 @@ speculative hit classification instead of reclassifying.
 from __future__ import annotations
 
 from array import array
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -70,12 +72,13 @@ _EMPTY = -1
 #: Small-int codes for the state array (``states.CODE_OF``).
 INVALID, SHARED, EXCLUSIVE, OWNED, MODIFIED = range(5)
 
+#: State codes indexed by ``LineState`` value (``from_scalar``'s import).
+_VALUE = attrgetter("_value_")
+_CODE_OF_VALUE = np.zeros(max(map(_VALUE, _STATE_OF)) + 1, dtype=np.uint8)
+_CODE_OF_VALUE[list(map(_VALUE, _STATE_OF))] = range(len(_STATE_OF))
+
 #: Writability indexed by state code.
 _WRITABLE = np.array([False, False, True, False, True])
-
-#: Mutation-log kinds (see :meth:`VectorizedCoherentCache.take_mutations`).
-INVALIDATED = 0
-DOWNGRADED = 1
 
 #: Block size of :func:`next_impure`'s scan: big enough that a nearly
 #: pure span crosses it in a handful of argmin calls, small enough that
@@ -129,7 +132,7 @@ class VectorizedCoherentCache:
         self._clock = 0
         self.counters = counters if counters is not None else Counter()
         self.record_mutations = False
-        self._mutations: List[Tuple[int, int]] = []   # (kind, tag)
+        self._mutations: List[int] = []   # tags of snooped lines
 
     # -- dict-cache interop ------------------------------------------------------
 
@@ -146,39 +149,33 @@ class VectorizedCoherentCache:
                   capacity=cache.num_sets * cache.ways * units.CACHE_LINE,
                   ways=cache.ways, protocol=cache.protocol,
                   counters=cache.counters)
-        # Collect the resident lines first and land them with bulk
-        # assignments — per-line scalar stores dominate snapshot time
-        # on a warm cache.  Append order is the age order (one global
-        # clock), so ages are just 1..clock (only relative age *within*
-        # a set matters, and each set's lines stay contiguous and in
-        # dict — i.e. LRU — order).  The inner work runs at C speed:
-        # dict-view extends, a mapped state→code translation, and one
-        # vectorized address→tag shift.
-        counts = vec._counts
-        ways = cache.ways
-        code_of = _CODE_OF.__getitem__
-        flats: List[int] = []
-        addrs: List[int] = []
-        codes: List[int] = []
-        for sidx, lines in enumerate(cache._sets):
-            if not lines:
-                continue
-            n = len(lines)
-            counts[sidx] = n
-            base = sidx * ways
-            flats.extend(range(base, base + n))
-            addrs.extend(lines.keys())
-            codes.extend(map(code_of, lines.values()))
-        clock = len(flats)
+        # Read the dict sets at C speed and land them with bulk
+        # assignments: per-set counts by ``len``, then every address
+        # and every state chained in set order.  Each set's lines fill
+        # its first ways in dict (i.e. LRU) order, so chained position
+        # ``i`` is the ``i``-th of those slots, and append order is the
+        # age order (one global clock): ages are just 1..clock (only
+        # relative age *within* a set matters).  States map to codes
+        # through their enum values — ``LineState.__hash__`` is a
+        # Python function, too slow to call once per line.
+        sets = cache._sets
+        vec._counts = counts = list(map(len, sets))
+        clock = sum(counts)
         if clock:
-            f = np.array(flats, dtype=np.intp)
-            tags = np.array(addrs, dtype=np.int64) // units.CACHE_LINE
+            ways = cache.ways
+            f = np.flatnonzero(np.arange(ways)
+                               < np.array(counts)[:, None])
+            tags = np.fromiter(chain.from_iterable(sets), dtype=np.int64,
+                               count=clock) // units.CACHE_LINE
             idx = tags - vec._tag0
             if int(idx.min()) < 0 or int(idx.max()) >= vec._lines:
                 raise CoherenceError(
                     f"resident line outside the home range {home}")
+            values = np.fromiter(
+                map(_VALUE, chain.from_iterable(map(dict.values, sets))),
+                dtype=np.intp, count=clock)
             vec._tags[f] = tags
-            vec._state[f] = codes
+            vec._state[f] = _CODE_OF_VALUE[values]
             vec._age[f] = np.arange(1, clock + 1)
             vec._way[idx] = f % ways + 1
         vec._clock = clock
@@ -209,8 +206,9 @@ class VectorizedCoherentCache:
         directory.register_agent(self.agent_id, self._handle_invalidation,
                                  self._handle_downgrade)
 
-    def take_mutations(self) -> List[Tuple[int, int]]:
-        """Drain the (kind, tag) log of directory-initiated mutations."""
+    def take_mutations(self) -> List[int]:
+        """Drain the log of lines the directory invalidated or
+        downgraded (tags, in snoop order)."""
         muts = self._mutations
         self._mutations = []
         return muts
@@ -240,7 +238,7 @@ class VectorizedCoherentCache:
         self._age_b[flat] = 0
         self._counts[flat // self.ways] -= 1
         if self.record_mutations:
-            self._mutations.append((INVALIDATED, tag))
+            self._mutations.append(tag)
         return dirty
 
     def _handle_downgrade(self, line_addr: int) -> bool:
@@ -255,7 +253,7 @@ class VectorizedCoherentCache:
         else:
             self._state_b[flat] = SHARED
         if self.record_mutations:
-            self._mutations.append((DOWNGRADED, tag))
+            self._mutations.append(tag)
         return was_dirty
 
     # -- batched classification --------------------------------------------------

@@ -19,9 +19,9 @@ splits the stream:
 Pure hits never change another line's residency or writability, so a
 classification stays valid up to the first non-pure access.  After
 each replayed event the front-end's hit masks are *patched* instead of
-recomputed: the evicted victim and any lines the directory invalidated
-mid-fill (FMem page evictions snoop every line of the victim page)
-become misses; the filled or upgraded line becomes a hit.  The
+recomputed: later accesses to the evicted victim and to any line the
+directory invalidated mid-fill (FMem page evictions snoop every line
+of the victim page) fall back to a live probe.  The
 256-access ``maybe_evict``/sampler-tick cadence is preserved by ending
 spans at cadence points, skipping only those where maintenance
 provably cannot act (see :func:`_run_span`), and the trace is consumed
@@ -42,9 +42,8 @@ import numpy as np
 from ..cache.replacement import LRUPolicy
 from ..coherence.directory import DirectoryEntry
 from ..coherence.states import LineState
-from ..coherence.vectorized import (DOWNGRADED, EXCLUSIVE, INVALID,
-                                    INVALIDATED, MODIFIED, OWNED, SHARED,
-                                    _EMPTY, _WRITABLE,
+from ..coherence.vectorized import (EXCLUSIVE, INVALID, MODIFIED, OWNED,
+                                    SHARED, _EMPTY, _WRITABLE,
                                     VectorizedCoherentCache, next_impure)
 from ..common import units
 from ..common.errors import AddressError
@@ -824,7 +823,7 @@ class _FusedLane:
             age_b[flat] = 0
             counts[flat // ways] -= 1
             if muts is not None:
-                muts.append((INVALIDATED, t))
+                muts.append(t)
             line = t << _LINE_SHIFT
             del entries[line]
             if state >= OWNED:
@@ -902,8 +901,7 @@ class _FusedLane:
                 counts[sidx] -= 1
             tag_list = tags.tolist()
             if front.record_mutations:
-                front._mutations.extend(
-                    (INVALIDATED, t) for t in tag_list)
+                front._mutations.extend(tag_list)
             entries = self.entries
             for t in tag_list:
                 del entries[t << _LINE_SHIFT]
@@ -1160,19 +1158,21 @@ def _run_span(rt: "KonaRuntime", front: VectorizedCoherentCache,
     the next cadence index and maintenance fires at its end.  Returns
     the stall accumulator.
 
-    A hot span skips the cadence points where maintenance cannot act.
+    A hot pass skips the cadence points where maintenance cannot act.
     With no sampler and no replication backlog, ``maybe_evict`` acts
-    only when FMem occupancy has risen since it last ran, and only a
-    fill raises it.  A fill happens only in an event (a replayed miss
-    or upgrade), and every event is non-pure in the live masks.  So
-    once maintenance has run, one run/patch pass goes on to the cadence
-    point that closes the segment holding the next non-pure access (or
-    to the end of the span), and maintenance runs there.
+    only while FMem occupancy is above ``rt.reclaim_limit``.  Only a
+    fill raises occupancy, and a fill happens only in an event (a
+    replayed miss or upgrade).  So a pass that starts with no sampler,
+    no backlog and occupancy at or below the limit runs to the end of
+    the span, unless an event lifts occupancy past the limit: it then
+    stops at the cadence point that closes that event's segment (see
+    :func:`_run_patch`), and maintenance runs there.  A backlog cannot
+    start during a replay, so one check where the pass starts covers
+    it.  Every other pass ends at the next cadence point.
     """
     m = int(tags.size)
     local = 0
     hot = False
-    idle = False   # maintenance has run and no event can have followed
     if m > _CADENCE:
         # Hot-span fast path: classify the whole chunk once and keep
         # the masks alive across cadence boundaries — boundary events
@@ -1186,12 +1186,16 @@ def _run_span(rt: "KonaRuntime", front: VectorizedCoherentCache,
             ages = np.arange(front._clock + 1, front._clock + 1 + m,
                              dtype=np.int64)
     while local < m:
-        nxt = next_impure(pure, local, m) if idle else local
-        # One past the cadence point at or after access ``nxt``.
-        end = min(-(-(g_base + nxt) // _CADENCE) * _CADENCE - g_base + 1, m)
+        # One past the cadence point at or after access ``local``.
+        end = min(-(-(g_base + local) // _CADENCE) * _CADENCE - g_base + 1, m)
         if hot:
-            stall = _run_patch(rt, front, tags, w, pure, flat, ages,
-                               local, end, stall, lane, seq0)
+            free = (tick is None
+                    and lane.fm_cache._occupied <= rt.reclaim_limit
+                    and not (rt.replication is not None
+                             and rt.replication.backlog_slots))
+            stall, end = _run_patch(rt, front, tags, w, pure, flat, ages,
+                                    local, m if free else end, stall,
+                                    lane, seq0, g_base if free else None)
         else:
             stall = _run_segment(rt, front, tags[local:end], w[local:end],
                                  front._clock + 1, stall, lane,
@@ -1208,15 +1212,12 @@ def _run_span(rt: "KonaRuntime", front: VectorizedCoherentCache,
             if hot and end < m and front._mutations:
                 # Proactive eviction may have snooped lines out of the
                 # CPU cache; fold the journal into the live span masks.
-                _patch_mutations(front, tags[end:], w[end:], pure[end:])
+                _patch_mutations(front, tags[end:], pure[end:])
             else:
                 # Cold mode reclassifies the next segment; drop the log.
                 front._mutations.clear()
             if tick is not None:
                 tick()
-            idle = (hot and tick is None
-                    and not (rt.replication is not None
-                             and rt.replication.backlog_slots))
         local = end
     return stall
 
@@ -1236,14 +1237,15 @@ def _run_segment(rt: "KonaRuntime", front: VectorizedCoherentCache,
         return lane.replay(seg_tags, seg_w, age0, stall, seq0)
     ages = np.arange(age0, age0 + length, dtype=np.int64)
     return _run_patch(rt, front, seg_tags, seg_w, pure, flat, ages, 0,
-                      length, stall, lane, seq0)
+                      length, stall, lane, seq0)[0]
 
 
 def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
                tags: np.ndarray, w: np.ndarray, pure: np.ndarray,
                flat: np.ndarray, ages: np.ndarray,
                start: int, end: int, stall: float,
-               lane: _FusedLane, seq0: int) -> float:
+               lane: _FusedLane, seq0: int,
+               g_base: Optional[int] = None) -> Tuple[float, int]:
     """Run/patch ``[start, end)`` of a classified window.
 
     Bulk-resolves pure-hit runs; each boundary event is dispatched off
@@ -1255,6 +1257,11 @@ def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
     stays marked non-pure and is simply caught by the probe, which
     keeps per-event cost independent of the span length (the old
     True-direction patches were two full-tail array ops per event).
+
+    Given the window's stream ordinal ``g_base``, the first event that
+    lifts FMem occupancy above ``rt.reclaim_limit`` moves ``end`` to
+    the cadence point closing its segment (see :func:`_run_span`).
+    Returns the stall accumulator and where the pass stopped.
     """
     counters = rt.counters
     account = rt.account
@@ -1284,18 +1291,15 @@ def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
                     state_b[fslot] = MODIFIED
                 age_b[fslot] = age
                 inline_hits += 1
-            elif fslot >= 0:
+                p += 1
+                continue
+            if cap is not None:
+                cap.seq = seq0 + p   # the event's fills record under it
+            if fslot >= 0:
                 # Resident but not writable on a write: upgrade (S/O -> M).
-                if cap is not None:
-                    cap.seq = seq0 + p   # a rare generic re-fill records
                 lane.upgrade(tag, age)
                 lane.d_cache_hits += 1
-                if front._mutations:
-                    _patch_mutations(front, tags[p + 1:], w[p + 1:],
-                                     pure[p + 1:])
             else:
-                if cap is not None:
-                    cap.seq = seq0 + p
                 victim_tag, code, fill_flat, cost = lane.miss(tag, isw, age)
                 stall += cost
                 account.charge("memory_stall", cost)
@@ -1306,9 +1310,14 @@ def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
                     sel = tags[p + 1:] == victim_tag
                     if sel.any():
                         pure[p + 1:][sel] = False
-                if front._mutations:
-                    _patch_mutations(front, tags[p + 1:], w[p + 1:],
-                                     pure[p + 1:])
+            if front._mutations:
+                _patch_mutations(front, tags[p + 1:], pure[p + 1:])
+            if (g_base is not None
+                    and lane.fm_cache._occupied > rt.reclaim_limit):
+                # Maintenance acts where this event's segment closes.
+                end = min(-(-(g_base + p) // _CADENCE) * _CADENCE
+                          - g_base + 1, end)
+                g_base = None
             p += 1
     except BaseException:
         lane.raised_seq = seq0 + p
@@ -1319,7 +1328,7 @@ def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
         if inline_hits:
             front.counters.add("hits", inline_hits)
             counters.add("cache_hits", inline_hits)
-    return stall
+    return stall, end
 
 
 #: ``_WRITABLE`` as a Python tuple (state codes I/S/E/O/M) — scalar
@@ -1328,15 +1337,15 @@ _WRITABLE_PY = tuple(bool(x) for x in _WRITABLE)
 
 
 def _patch_mutations(front: VectorizedCoherentCache, rem_tags: np.ndarray,
-                     rem_w: np.ndarray, pure_rem: np.ndarray) -> None:
-    """Fold directory-initiated mutations into the remaining masks."""
-    for kind, mtag in front.take_mutations():
-        sel = rem_tags == mtag
-        if not sel.any():
-            continue
-        if kind == INVALIDATED:
-            pure_rem[sel] = False
-        else:
-            assert kind == DOWNGRADED
-            # Still resident, no longer writable.
-            pure_rem[sel] = ~rem_w[sel]
+                     pure_rem: np.ndarray) -> None:
+    """Fold directory-initiated mutations into the remaining masks.
+
+    Every later access to a mutated line falls back to the event path,
+    whatever the mutation: the live probe serves a line that is still
+    resident (e.g. a downgraded one, read) as an inline hit.  Most
+    batches hold one tag, and one compare costs a fraction of
+    ``np.isin``'s fixed overhead.
+    """
+    tags = front.take_mutations()
+    pure_rem[rem_tags == tags[0] if len(tags) == 1
+             else np.isin(rem_tags, tags)] = False

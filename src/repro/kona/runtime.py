@@ -115,6 +115,15 @@ class KonaRuntime:
         # -- compute-node hardware --------------------------------------------
         self.vfmem = AddressRange(VFMEM_BASE, cfg.vfmem_capacity)
         self.fmem = FMemCache(cfg.fmem_capacity, cfg.page_size, cfg.fmem_ways)
+        # The largest FMem occupancy that fails ``maybe_evict``'s test,
+        # ``k / frames > high and k > int(low * frames)`` (monotone in
+        # ``k``; the float quotient decides).  Hot passes run up to it.
+        frames, high = self.fmem.num_frames, cfg.evict_high_watermark
+        limit = min(int(high * frames) + 1, frames)
+        while limit / frames > high:
+            limit -= 1
+        self.reclaim_limit = max(limit, int(cfg.evict_low_watermark
+                                            * frames))
         self.translation = RemoteTranslationMap(self.vfmem.start,
                                                 cfg.slab_bytes)
         self.page_table = PageTable(cfg.page_size)
@@ -694,9 +703,10 @@ class KonaRuntime:
     def maybe_evict(self, drain_pages=None) -> int:
         """Watermark-driven proactive eviction (config watermarks).
 
-        When FMem occupancy exceeds the high watermark, reclaim LRU
-        pages down to the low watermark — off the critical path, the
-        way the paper's Eviction Handler "monitors the cache
+        When FMem occupancy exceeds ``reclaim_limit`` (the high
+        watermark, unless the low one leaves nothing to reclaim),
+        reclaim LRU pages down to the low watermark — off the critical
+        path, the way the paper's Eviction Handler "monitors the cache
         utilization and evicts pages to make room" (section 4.1).
         ``drain_pages`` optionally takes the whole reclaim batch in
         place of the agent's per-page drain (see
@@ -710,12 +720,11 @@ class KonaRuntime:
                 self.config.rereplication_slots_per_tick)
             self.background_ns += ns
             self._check_replication_recovered()
-        if self.fmem.occupancy_fraction <= self.config.evict_high_watermark:
+        occupancy = self.fmem.occupancy
+        if occupancy <= self.reclaim_limit:
             return 0
-        target = int(self.config.evict_low_watermark * self.fmem.num_frames)
-        count = self.fmem.occupancy - target
-        if count <= 0:
-            return 0
+        count = occupancy - int(self.config.evict_low_watermark
+                                * self.fmem.num_frames)
         self.counters.add("watermark_reclaims")
         return self.agent.proactive_evict(count, drain_pages=drain_pages)
 

@@ -161,27 +161,36 @@ class TestMaintenanceSkip:
 
     Each case warms a 512-line hot set, so its 16 Ki-access slices
     classify hot, and then runs 128 Ki accesses where maintenance must
-    still act inside hot slices.
+    still act inside hot slices.  ``chunk`` streams those accesses in
+    cadence-multiple chunks instead of one ``run_trace``.
     """
 
     N_SKIP = 128 * 1024
+    CHUNKS = pytest.mark.parametrize("chunk", [None, 40 * 256],
+                                     ids=["monolithic", "streamed"])
 
     @classmethod
-    def _assert_identical(cls, cold, prepare=lambda rt: None, **kwargs):
+    def _assert_identical(cls, cold, prepare=lambda rt, engine, base: None,
+                          chunk=None, **kwargs):
         out = {}
         for engine in ("scalar", "batched"):
             rt = KonaRuntime(KonaConfig(vfmem_capacity=512 * u.MB, **kwargs),
                              app_ns_per_access=70.0,
                              num_memory_nodes=4)
-            region = rt.mmap(64 * u.MB)
+            base = np.int64(rt.mmap(64 * u.MB).start)
             warm = np.arange(512, dtype=np.int64) * u.CACHE_LINE
-            rt.run_trace(warm + np.int64(region.start),
-                         np.zeros(warm.size, dtype=bool), engine=engine)
-            prepare(rt)
+            rt.run_trace(warm + base, np.zeros(warm.size, dtype=bool),
+                         engine=engine)
+            prepare(rt, engine, base)
             addrs, writes = hot_trace(cls.N_SKIP, 64 * u.MB, hot_lines=512,
                                       cold=cold)
-            report = rt.run_trace(addrs + np.int64(region.start), writes,
-                                  engine=engine)
+            addrs = addrs + base
+            if chunk is None:
+                report = rt.run_trace(addrs, writes, engine=engine)
+            else:
+                report = rt.run_trace_stream(
+                    [(addrs[i:i + chunk], writes[i:i + chunk])
+                     for i in range(0, addrs.size, chunk)], engine=engine)
             out[engine] = (runtime_fingerprint(rt, report),
                            eviction_state(rt.eviction, rt.controller))
         assert out["scalar"] == out["batched"]
@@ -194,10 +203,58 @@ class TestMaintenanceSkip:
                                     slab_bytes=16 * u.MB)
         assert rt.counters["watermark_reclaims"] > 0
 
+    @CHUNKS
+    @pytest.mark.parametrize("headroom", [3, -5],
+                             ids=["crosses-mid-slice", "starts-above"])
+    def test_reclaim_limit(self, chunk, headroom):
+        # FMem is filled to ``headroom`` pages under the reclaim limit
+        # (over it, when negative) by fresh pages in sets with a free
+        # frame; the fill is shorter than the cadence, so maintenance
+        # last ran after its first access.  Rare cold fills then lift
+        # occupancy past the limit a few events into a hot slice, or
+        # the replay starts above it and must reclaim at once.
+        def fill(rt, engine, base):
+            fm = rt.fmem._cache
+            page = rt.fmem.page_size
+            room = [fm.ways - len(lines) for lines in fm._lines]
+            need = rt.reclaim_limit - headroom - rt.fmem.occupancy
+            first = int(base) // page + 1024   # past the hot set
+            pages = []
+            for p in range(first, first + 16 * fm.num_sets):
+                if len(pages) < need and room[p % fm.num_sets]:
+                    room[p % fm.num_sets] -= 1
+                    pages.append(p)
+            assert len(pages) == need < 256
+            rt.run_trace(np.array(pages, dtype=np.int64) * page,
+                         np.zeros(need, dtype=bool), engine=engine)
+            assert rt.fmem.occupancy == rt.reclaim_limit - headroom
+        rt = self._assert_identical(cold=0.002, prepare=fill, chunk=chunk,
+                                    fmem_capacity=1 * u.MB,
+                                    slab_bytes=16 * u.MB)
+        assert rt.counters["watermark_reclaims"] > 1
+
+    @CHUNKS
+    def test_no_maintenance_call_far_below_the_limit(self, chunk):
+        # The batched engine's hot passes run through every cadence
+        # point while FMem stays under the reclaim limit.
+        calls = {"scalar": 0, "batched": 0}
+
+        def count(rt, engine, base):
+            maybe_evict = rt.maybe_evict
+
+            def counting(*args, **kwargs):
+                calls[engine] += 1
+                return maybe_evict(*args, **kwargs)
+            rt.maybe_evict = counting
+        rt = self._assert_identical(cold=0.002, prepare=count, chunk=chunk,
+                                    fmem_capacity=64 * u.MB)
+        assert rt.fmem.occupancy < rt.reclaim_limit // 4
+        assert calls == {"scalar": self.N_SKIP // 256, "batched": 0}
+
     def test_replication_backlog_ticks_every_cadence_point(self):
         # Each cadence point re-replicates one slot while a backlog
         # exists, even where no event happened since the last one.
-        def fail_node(rt):
+        def fail_node(rt, engine, base):
             rt.controller.node("mem0").fail()
             rt.on_memnode_failure("mem0")
             assert rt.replication.backlog_slots == 32

@@ -243,3 +243,27 @@ class TestLifecycle:
         assert reclaimed > 0
         assert rt.fmem.occupancy_fraction <= 0.6
         assert rt.maybe_evict() == 0    # below the watermark: no-op
+
+    @pytest.mark.parametrize("fmem_mb, low, high", [
+        (1, 0.75, 0.9), (4, 0.5, 0.6), (1, 0.7, 0.7), (2, 0.3, 1.0),
+        (1, 0.1, 0.3)])
+    def test_reclaim_limit_is_where_maybe_evict_starts(self, fmem_mb, low,
+                                                       high):
+        # The batched engine skips maintenance up to ``reclaim_limit``:
+        # it must be the largest occupancy maybe_evict lets through.
+        rt = make_runtime(fmem_capacity=fmem_mb * u.MB,
+                          evict_low_watermark=low, evict_high_watermark=high)
+        frames = rt.fmem.num_frames
+        assert rt.reclaim_limit == max(
+            k for k in range(frames + 1)
+            if not (k / frames > high and k > int(low * frames)))
+        region = rt.mmap(2 * fmem_mb * u.MB)
+        # Consecutive pages spread over the FMem sets: no conflict
+        # evictions, so each read adds one resident page.
+        for i in range(rt.reclaim_limit):
+            rt.read(region.start + i * u.PAGE_4K)
+        assert rt.fmem.occupancy == rt.reclaim_limit
+        assert rt.maybe_evict() == 0
+        if rt.reclaim_limit < frames:
+            rt.read(region.start + rt.reclaim_limit * u.PAGE_4K)
+            assert rt.maybe_evict() > 0
