@@ -87,20 +87,22 @@ def _hot_mix(n, seed, write_fraction=0.3, cold=0.02, hot_lines=4096,
     return lines * u.CACHE_LINE, rng.random(n) < write_fraction
 
 
-def _runtime(fmem_mb, protocol="mesi", vfmem_mb=256):
+def _runtime(fmem_mb, protocol="mesi", vfmem_mb=256, **options):
     cfg = KonaConfig(fmem_capacity=fmem_mb * u.MB,
                      vfmem_capacity=vfmem_mb * u.MB,
-                     slab_bytes=16 * u.MB, protocol=protocol)
+                     slab_bytes=16 * u.MB, protocol=protocol, **options)
     return KonaRuntime(cfg, app_ns_per_access=70.0)
 
 
-def _case_hot_mix():
-    addrs, writes = _hot_mix(HOT_MIX_ACCESSES, seed=1)
-    rt = _runtime(fmem_mb=16)
-    region = rt.mmap(64 * u.MB)
-    report = rt.run_trace(addrs + np.int64(region.start), writes,
-                          engine="scalar")
-    return _array_digest(addrs, writes), runtime_fingerprint(rt, report)
+def _case_hot_mix(fmem_mb=16, **options):
+    def run():
+        addrs, writes = _hot_mix(HOT_MIX_ACCESSES, seed=1)
+        rt = _runtime(fmem_mb=fmem_mb, **options)
+        region = rt.mmap(64 * u.MB)
+        report = rt.run_trace(addrs + np.int64(region.start), writes,
+                              engine="scalar")
+        return _array_digest(addrs, writes), runtime_fingerprint(rt, report)
+    return run
 
 
 def _case_model(name, accesses, protocol):
@@ -184,7 +186,13 @@ def _case_failover():
 
 
 CASES = {
-    "hot-mix-mesi": _case_hot_mix,
+    "hot-mix-mesi": _case_hot_mix(),
+    # FMem paths no other golden reaches, on a 1 MB FMem where fills
+    # evict and watermark reclaims run: prefetch fills reorder FMem's
+    # LRU, and 8 KiB pages change the line-to-page shift.
+    "hot-mix-1mb-next-page-prefetch": _case_hot_mix(
+        fmem_mb=1, prefetch_policy="next-page"),
+    "hot-mix-1mb-8k-pages": _case_hot_mix(fmem_mb=1, page_size=8 * u.KB),
     "page-rank-8mb-msi": _case_model("page-rank", PAGE_RANK_ACCESSES, "msi"),
     "page-rank-8mb-mesi": _case_model("page-rank", PAGE_RANK_ACCESSES,
                                       "mesi"),
