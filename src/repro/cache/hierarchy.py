@@ -28,7 +28,7 @@ import numpy as np
 
 from ..common import units
 from ..common.errors import ConfigError
-from .setassoc import CacheStats, SetAssociativeCache
+from .setassoc import SetAssociativeCache
 from .vectorized import VectorizedCache
 
 #: Engines a hierarchy can run on.
@@ -244,12 +244,3 @@ class CacheHierarchy:
             dram_cache_name=(self.dram_cache.name
                              if self.dram_cache is not None else None),
         )
-
-    def stats_of(self, name: str) -> CacheStats:
-        """Raw stats for one level by name."""
-        for level in self.levels:
-            if level.name == name:
-                return level.stats
-        if self.dram_cache is not None and self.dram_cache.name == name:
-            return self.dram_cache.stats
-        raise ConfigError(f"no level named {name!r}")

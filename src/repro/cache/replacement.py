@@ -1,9 +1,9 @@
 """Replacement policies for set-associative caches.
 
 Each policy manages victim selection within a single cache set.  The
-set-associative cache keeps one policy state object per set; keeping
-the policy pluggable lets the ablation benchmarks compare LRU against
-FIFO and random replacement in the FMem page cache.
+scalar set-associative cache keeps one policy state object per set;
+keeping the policy pluggable lets KCacheSim compare LRU against FIFO
+and random replacement (``LevelSpec.policy``).
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ class ReplacementPolicy(Protocol):
 
     def evict(self) -> int:
         """Choose and remove the victim tag."""
-
-    def remove(self, tag: int) -> None:
-        """Remove ``tag`` (external invalidation)."""
 
     def __len__(self) -> int: ...
 
@@ -53,9 +50,6 @@ class LRUPolicy:
     def evict(self) -> int:
         return self._order.pop(0)
 
-    def remove(self, tag: int) -> None:
-        self._order.remove(tag)
-
     def __len__(self) -> int:
         return len(self._order)
 
@@ -76,9 +70,6 @@ class FIFOPolicy:
 
     def evict(self) -> int:
         return self._order.pop(0)
-
-    def remove(self, tag: int) -> None:
-        self._order.remove(tag)
 
     def __len__(self) -> int:
         return len(self._order)
@@ -102,9 +93,6 @@ class RandomPolicy:
     def evict(self) -> int:
         idx = int(self._rng.integers(len(self._tags)))
         return self._tags.pop(idx)
-
-    def remove(self, tag: int) -> None:
-        self._tags.remove(tag)
 
     def __len__(self) -> int:
         return len(self._tags)

@@ -1,9 +1,11 @@
 """A write-back, write-allocate set-associative cache model.
 
-Used both for the on-chip levels (64 B blocks) and for the FMem DRAM
-cache (4 KB blocks, 4-way — paper section 4.4 "Local translation").
-The model tracks residency and dirtiness per block; it does not carry
-data, which is what keeps trace-driven simulation fast.
+The scalar engine of KCacheSim's hierarchy
+(:mod:`repro.cache.hierarchy`), used both for the on-chip levels (64 B
+blocks) and for the DRAM cache level (4 KB blocks, 4-way — paper
+section 4.4 "Local translation").  The model tracks residency and
+dirtiness per block; it does not carry data, which is what keeps
+trace-driven simulation fast.
 """
 
 from __future__ import annotations
@@ -38,13 +40,6 @@ class CacheStats:
         """Total accesses observed."""
         return self.hits + self.misses
 
-    @property
-    def miss_ratio(self) -> float:
-        """Misses divided by accesses (0 if never accessed)."""
-        if self.accesses == 0:
-            return 0.0
-        return self.misses / self.accesses
-
 
 class SetAssociativeCache:
     """One level of cache with configurable geometry and policy."""
@@ -67,7 +62,6 @@ class SetAssociativeCache:
         self.block_size = block_size
         self.ways = ways
         self.num_sets = num_sets
-        self.policy_name = policy
         # Per set: dict of tag -> dirty flag, plus a replacement policy.
         self._lines: List[Dict[int, bool]] = [{} for _ in range(num_sets)]
         self._policies: List[ReplacementPolicy] = [
@@ -77,12 +71,6 @@ class SetAssociativeCache:
         # summing thousands of set dicts there is measurable.
         self._occupied = 0
         self.stats = CacheStats()
-
-    # -- geometry helpers -----------------------------------------------------
-
-    def block_of(self, addr: int) -> int:
-        """Index of the block containing byte address ``addr``."""
-        return addr // self.block_size
 
     def _locate(self, addr: int) -> Tuple[int, int]:
         block = addr // self.block_size
@@ -125,39 +113,10 @@ class SetAssociativeCache:
         policy.insert(tag)
         return False, eviction
 
-    def probe(self, addr: int) -> bool:
-        """Check residency without touching stats or replacement state."""
-        set_idx, tag = self._locate(addr)
-        return tag in self._lines[set_idx]
-
     def is_dirty(self, addr: int) -> bool:
         """True if the containing block is resident and dirty."""
         set_idx, tag = self._locate(addr)
         return self._lines[set_idx].get(tag, False)
-
-    def invalidate(self, addr: int) -> Optional[Eviction]:
-        """Remove the containing block (coherence invalidation).
-
-        Returns an :class:`Eviction` if the block was resident (dirty
-        flag tells the caller whether a writeback is needed).
-        """
-        set_idx, tag = self._locate(addr)
-        lines = self._lines[set_idx]
-        if tag not in lines:
-            return None
-        dirty = lines.pop(tag)
-        self._policies[set_idx].remove(tag)
-        self._occupied -= 1
-        return Eviction(block_addr=tag * self.block_size, dirty=dirty)
-
-    def clean(self, addr: int) -> bool:
-        """Clear the dirty bit of a resident block; True if it was dirty."""
-        set_idx, tag = self._locate(addr)
-        lines = self._lines[set_idx]
-        if lines.get(tag):
-            lines[tag] = False
-            return True
-        return False
 
     @property
     def occupancy(self) -> int:
@@ -170,8 +129,3 @@ class SetAssociativeCache:
         for lines in self._lines:
             blocks.extend(tag * self.block_size for tag in lines)
         return sorted(blocks)
-
-    def __repr__(self) -> str:
-        return (f"SetAssociativeCache({self.name}, {self.capacity}B, "
-                f"{self.block_size}B blocks, {self.ways}-way, "
-                f"{self.policy_name})")

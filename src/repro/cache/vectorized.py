@@ -118,12 +118,6 @@ class VectorizedCache:
         self._clock = 0          # accesses observed; source of timestamps
         self._occupied = 0       # resident blocks (enables full-set fast path)
 
-    # -- geometry helpers -----------------------------------------------------
-
-    def block_of(self, addr: int) -> int:
-        """Index of the block containing byte address ``addr``."""
-        return addr // self.block_size
-
     # -- bulk access path -----------------------------------------------------
 
     def simulate_batch(self, addrs: np.ndarray,
@@ -523,35 +517,10 @@ class VectorizedCache:
         ways = np.flatnonzero(self._tags[set_idx] == block)
         return set_idx, (int(ways[0]) if ways.size else -1)
 
-    def probe(self, addr: int) -> bool:
-        """Check residency without touching stats or replacement state."""
-        return self._find(addr)[1] >= 0
-
     def is_dirty(self, addr: int) -> bool:
         """True if the containing block is resident and dirty."""
         set_idx, way = self._find(addr)
         return way >= 0 and bool(self._dirty[set_idx, way])
-
-    def invalidate(self, addr: int) -> Optional[Eviction]:
-        """Remove the containing block (coherence invalidation)."""
-        set_idx, way = self._find(addr)
-        if way < 0:
-            return None
-        was_dirty = bool(self._dirty[set_idx, way])
-        block = int(self._tags[set_idx, way])
-        self._tags[set_idx, way] = _EMPTY
-        self._dirty[set_idx, way] = False
-        self._age[set_idx, way] = 0
-        self._occupied -= 1
-        return Eviction(block_addr=block * self.block_size, dirty=was_dirty)
-
-    def clean(self, addr: int) -> bool:
-        """Clear the dirty bit of a resident block; True if it was dirty."""
-        set_idx, way = self._find(addr)
-        if way >= 0 and self._dirty[set_idx, way]:
-            self._dirty[set_idx, way] = False
-            return True
-        return False
 
     @property
     def occupancy(self) -> int:
@@ -562,8 +531,3 @@ class VectorizedCache:
         """Sorted byte addresses of all resident blocks."""
         tags = self._tags_flat
         return sorted(int(t) * self.block_size for t in tags[tags != _EMPTY])
-
-    def __repr__(self) -> str:
-        return (f"VectorizedCache({self.name}, {self.capacity}B, "
-                f"{self.block_size}B blocks, {self.ways}-way, "
-                f"{self.policy_name})")

@@ -2,7 +2,7 @@
 
 from .agent import AgentConfig, EvictionSink, MemoryAgent
 from .bitmap import DirtyBitmap
-from .fmem import FMemCache, PageEviction
+from .fmem import FMemCache
 from .translation import RemoteLocation, RemoteTranslationMap
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "EvictionSink",
     "FMemCache",
     "MemoryAgent",
-    "PageEviction",
     "RemoteLocation",
     "RemoteTranslationMap",
 ]

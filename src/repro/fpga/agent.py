@@ -191,9 +191,9 @@ class MemoryAgent:
         # the remainder of the block streams in behind it.
         self.counters.add("remote_fetches")
         location = self._locate(line_addr)
-        _, eviction = self.fmem.touch(line_addr)
-        if eviction is not None:
-            self._evict_page(eviction.vfmem_page_addr)
+        _, victim = self.fmem.touch(line_addr)
+        if victim is not None:
+            self._evict_page(victim)
         read_ns = self._remote_read_ns(location.node, units.CACHE_LINE)
         critical = self.latency.coherence_msg_ns + read_ns
         cap = self._capture
@@ -228,9 +228,9 @@ class MemoryAgent:
             self.translation.resolve(page_addr)
         except Exception:
             return   # page not backed; nothing to prefetch
-        _, eviction = self.fmem.touch(page_addr)
-        if eviction is not None:
-            self._evict_page(eviction.vfmem_page_addr)
+        _, victim = self.fmem.touch(page_addr)
+        if victim is not None:
+            self._evict_page(victim)
         self.counters.add("pages_prefetched")
         fill = self.latency.rdma_per_byte_ns * self.config.fetch_block
         self.account.charge("prefetch_background", fill)

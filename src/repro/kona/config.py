@@ -26,7 +26,6 @@ class KonaConfig:
 
     # Fetch path
     fetch_block: int = units.PAGE_4K        # bytes fetched per FMem fill
-    fmem_ways: int = 4                      # FMem associativity (section 4.4)
     #: Prefetch policy name ("none", "next-page", "stride", "leap").
     prefetch_policy: str = "none"
 

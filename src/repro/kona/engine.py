@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..cache.replacement import LRUPolicy
 from ..coherence.directory import DirectoryEntry
 from ..coherence.states import LineState
 from ..coherence.vectorized import (EXCLUSIVE, INVALID, MODIFIED, OWNED,
@@ -47,6 +46,7 @@ from ..coherence.vectorized import (EXCLUSIVE, INVALID, MODIFIED, OWNED,
                                     VectorizedCoherentCache, next_impure)
 from ..common import units
 from ..common.errors import AddressError
+from ..fpga.fmem import WAYS as FMEM_WAYS
 
 if TYPE_CHECKING:
     from .runtime import KonaRuntime
@@ -119,10 +119,19 @@ class _FusedLane:
     lane and flushed before every maintenance tick (gauges read them),
     around generic-path detours and in the engine's ``finally`` (so a
     mid-trace ``NodeFailure`` leaves counter state identical to the
-    scalar run).  Dirty-victim bitmap marks are buffered and flushed
-    through ``DirtyBitmap.mark_lines`` under the same rules, and also
-    before any page drain's ``clear_page`` (which consumes them) and
-    any prefetch.  Capture rows staged by :meth:`replay` are written
+    scalar run).  Each event keeps one delta, however many counters it
+    moves: an FMem hit is the agent's ``fmem_hits``, FMem's ``hits``
+    and the deferred ``fmem_hit`` charge; an FMem eviction is FMem's
+    ``evictions``; a fused upgrade is the front end's ``upgrades`` and
+    the agent's ``upgrades_seen``; a fused dirty victim is the
+    directory's ``put_m`` and the agent's ``writebacks_tracked``.  The
+    agent's ``remote_fetches`` and FMem's ``fills`` keep a delta each,
+    because a locate that raises counts the first and not the second.
+    FMem's own state moves at once, through ``FMemCache.place`` (the
+    replay loop inlines it).  Dirty-victim bitmap marks are buffered
+    and flushed through ``DirtyBitmap.mark_lines`` under the same
+    rules, and also before any page drain's ``clear_page`` (which
+    consumes them) and any prefetch.  Capture rows staged by :meth:`replay` are written
     at every ``flush``, before anything else can record.  Evicted
     pages are queued as ``(page_addr, mask)``
     and handed to the eviction handler in one ``evict_pages`` call per
@@ -133,8 +142,7 @@ class _FusedLane:
 
     __slots__ = (
         "rt", "front", "agent", "directory", "entries", "marks", "cap",
-        "fm_cache", "fm_lines", "fm_policies", "fm_stats", "fm_ways",
-        "fm_set_mask", "page_size", "tag_page_shift", "bitmap",
+        "fmem", "page_size", "tag_page_shift", "bitmap",
         "account", "locate", "window_nodes", "vf_base", "slab_bytes",
         "fabric_down", "extra_delays", "failures", "read_base", "staged",
         "remote_read_ns", "prefetch", "eager", "aid", "coh_ns",
@@ -143,11 +151,9 @@ class _FusedLane:
         "code_m", "code_read", "front_read", "solo", "dirty_solo",
         "upgradable",
         "d_cache_hits", "d_cache_misses", "d_front_hits",
-        "d_front_misses", "d_front_evictions", "d_front_upgrades",
+        "d_front_misses", "d_front_evictions", "d_upgrades",
         "d_get_s", "d_get_m", "d_put_m", "d_put_clean", "d_fmem_hits",
-        "d_remote", "d_writebacks", "d_upgrades_seen", "d_fm_hits",
-        "d_fm_fills", "d_fm_evictions", "d_stat_hits", "d_stat_misses",
-        "d_stat_evictions", "d_stat_dirty", "n_fmem_charges",
+        "d_remote", "d_fm_fills", "d_fm_evictions",
         "d_snoops", "d_lines_snooped", "d_ext_inval", "d_pages_evicted",
         "ev_pages", "ev_masks", "defer", "raised_seq",
     )
@@ -155,7 +161,6 @@ class _FusedLane:
     def __init__(self, rt: "KonaRuntime",
                  front: VectorizedCoherentCache) -> None:
         agent = rt.agent
-        fc = agent.fmem._cache
         latency = agent.latency
         self.rt = rt
         self.front = front
@@ -167,12 +172,7 @@ class _FusedLane:
         self.cap = rt._capture
         self.directory = agent.directory
         self.entries = self.directory._entries
-        self.fm_cache = fc
-        self.fm_lines = fc._lines
-        self.fm_policies = fc._policies
-        self.fm_stats = fc.stats
-        self.fm_ways = fc.ways
-        self.fm_set_mask = fc.num_sets - 1
+        self.fmem = agent.fmem
         self.page_size = agent.fmem.page_size
         # page size is a power of two (FMemCache enforces it), so
         # line-tag -> page-tag is a shift.
@@ -230,9 +230,9 @@ class _FusedLane:
         self.dirty_solo = frozenset((code_m, code_e, code_o))
         self.upgradable = frozenset((code_s, code_o))
         # MRU memo: the FMem page the previous fill touched.  While a
-        # page is the MRU of its set, ``LRUPolicy.touch`` is a no-op,
-        # so consecutive fills from the same page can skip the probe
-        # and the touch call entirely.  Reset whenever FMem changes
+        # page is the MRU of its set, ``FMemCache.place`` leaves FMem
+        # as it is, so consecutive fills from the same page can skip
+        # the probe and the place entirely.  Reset whenever FMem changes
         # under the lane's feet (generic detours, prefetch inserts) or
         # the memoed page itself is drained.
         self.last_page = -1
@@ -253,23 +253,15 @@ class _FusedLane:
         self.d_front_hits = 0
         self.d_front_misses = 0
         self.d_front_evictions = 0
-        self.d_front_upgrades = 0
+        self.d_upgrades = 0
         self.d_get_s = 0
         self.d_get_m = 0
         self.d_put_m = 0
         self.d_put_clean = 0
         self.d_fmem_hits = 0
         self.d_remote = 0
-        self.d_writebacks = 0
-        self.d_upgrades_seen = 0
-        self.d_fm_hits = 0
         self.d_fm_fills = 0
         self.d_fm_evictions = 0
-        self.d_stat_hits = 0
-        self.d_stat_misses = 0
-        self.d_stat_evictions = 0
-        self.d_stat_dirty = 0
-        self.n_fmem_charges = 0
         self.d_snoops = 0
         self.d_lines_snooped = 0
         self.d_ext_inval = 0
@@ -336,7 +328,6 @@ class _FusedLane:
                 if vcode in self.dirty_solo:
                     del entries[victim_addr]
                     self.d_put_m += 1
-                    self.d_writebacks += 1
                     self.marks.append(victim_addr)
                 else:
                     # Unexpected entry: the real PutM validates (and
@@ -395,77 +386,55 @@ class _FusedLane:
         # UPGRADE event, fused: eager dirty tracking + latency constant.
         if self.eager:
             self.marks.append(line)
-        self.d_upgrades_seen += 1
         self.agent._last_access_ns = self.coh_ns
         front = self.front
         flat = front.slot_of(tag)
         front._state_b[flat] = MODIFIED
         front._age_b[flat] = age
-        self.d_front_upgrades += 1
+        self.d_upgrades += 1
 
     def _serve_fill(self, line: int) -> float:
         """Fused ``MemoryAgent._serve_fill``: FMem hit or remote fetch."""
         page_tag = line // self.page_size
-        fm_sidx = page_tag & self.fm_set_mask
-        fm_lines = self.fm_lines[fm_sidx]
-        if page_tag in fm_lines:
-            self.d_stat_hits += 1
-            if page_tag != self.last_page:
-                self.fm_policies[fm_sidx].touch(page_tag)
-                self.last_page = page_tag
-            self.d_fm_hits += 1
+        hit = page_tag == self.last_page or self.fmem.lookup(line)
+        if not hit:
+            # FMem miss: resolve the remote location *before*
+            # allocating a frame, so a failed fetch cannot leave a
+            # dataless page resident (same ordering as the scalar agent).
+            self.d_remote += 1
+            if self.fabric_down or self.failures.replication is not None:
+                self.window_nodes.clear()
+                node = self.locate(line).node
+            else:
+                window = (line - self.vf_base) // self.slab_bytes
+                node = self.window_nodes.get(window)
+                if node is None:
+                    node = self.window_nodes[window] = self.locate(line).node
+            self.d_fm_fills += 1
+        if page_tag != self.last_page:
+            victim = self.fmem.place(page_tag)[1]
+            self.last_page = page_tag   # now its set's MRU
+            if victim is not None:
+                self.d_fm_evictions += 1
+                self.drain_page(victim)
+        if hit:
             self.d_fmem_hits += 1
             cost = self.fmem_ns
-            if self.fmem_ns_exact:
-                self.n_fmem_charges += 1
-            else:
+            if not self.fmem_ns_exact:
                 self.account.charge("fmem_hit", cost)
             if self.cap is not None:
                 self.cap.record(self.cap.seq, line, None, 0,
                                 0.0, 0.0, cost)
-            if self.prefetch is not None:
-                self._flush_for_prefetch()
-                self.prefetch(line)
-                self.last_page = -1   # prefetch fills may reorder the LRU
-            return cost
-        # FMem miss: resolve the remote location *before* allocating a
-        # frame, so a failed fetch cannot leave a dataless page
-        # resident (same ordering as the scalar agent).
-        self.d_remote += 1
-        if self.fabric_down or self.failures.replication is not None:
-            self.window_nodes.clear()
-            node = self.locate(line).node
         else:
-            window = (line - self.vf_base) // self.slab_bytes
-            node = self.window_nodes.get(window)
-            if node is None:
-                node = self.window_nodes[window] = self.locate(line).node
-        self.d_stat_misses += 1
-        self.d_fm_fills += 1
-        policy = self.fm_policies[fm_sidx]
-        victim_page: Optional[int] = None
-        if len(fm_lines) >= self.fm_ways:
-            victim_page = policy.evict()
-            if fm_lines.pop(victim_page):
-                self.d_stat_dirty += 1
-            self.d_stat_evictions += 1
-            self.d_fm_evictions += 1
-        else:
-            self.fm_cache._occupied += 1
-        fm_lines[page_tag] = False
-        policy.insert(page_tag)
-        if victim_page is not None:
-            self.drain_page(victim_page)
-        read_ns = (self.remote_read_ns(node, units.CACHE_LINE)
-                   if self.extra_delays else self.read_base)
-        cost = self.coh_ns + read_ns
-        if self.has_remainder:
-            self.account.charge("fill_background", self.fill_bg_ns)
-        self.account.charge("remote_fetch", cost)
-        if self.cap is not None:
-            self.cap.record(self.cap.seq, line, node, 1,
-                            self.coh_ns, read_ns, 0.0)
-        self.last_page = page_tag   # just inserted: the set's MRU
+            read_ns = (self.remote_read_ns(node, units.CACHE_LINE)
+                       if self.extra_delays else self.read_base)
+            cost = self.coh_ns + read_ns
+            if self.has_remainder:
+                self.account.charge("fill_background", self.fill_bg_ns)
+            self.account.charge("remote_fetch", cost)
+            if self.cap is not None:
+                self.cap.record(self.cap.seq, line, node, 1,
+                                self.coh_ns, read_ns, 0.0)
         if self.prefetch is not None:
             self._flush_for_prefetch()
             self.prefetch(line)
@@ -505,14 +474,9 @@ class _FusedLane:
         agent = self.agent
         acct = self.account._buckets
         stall_b = self.rt.account._buckets
-        fm_all = self.fm_lines
-        fm_policies = self.fm_policies
-        fm_set_mask = self.fm_set_mask
-        fm_ways = self.fm_ways
-        fm_cache = self.fm_cache
-        # Homogeneous policies (FMemCache builds one kind): inline the
-        # LRU move-to-back on the hit path, skip the method call.
-        fm_lru = isinstance(fm_policies[0], LRUPolicy)
+        fmem = self.fmem
+        fm_sets = fmem.sets
+        fm_set_mask = fmem.set_mask
         ent_get = entries.get
         tag_page_shift = self.tag_page_shift
         last_page = self.last_page
@@ -558,10 +522,7 @@ class _FusedLane:
         l_front_misses = 0
         l_front_evictions = 0
         l_get_s = l_get_m = l_put_m = l_put_clean = 0
-        l_fmem_hits = l_remote = 0
-        l_fm_hits = l_fm_fills = l_fm_evictions = 0
-        l_stat_hits = l_stat_misses = l_stat_evictions = l_stat_dirty = 0
-        l_n_fmem = 0
+        l_fmem_hits = l_remote = l_fm_fills = l_fm_evictions = 0
         age = age0 - 1
         # The snoop journal is only consumed by the hot-span patcher;
         # this mode reclassifies every segment and drops the journal at
@@ -612,7 +573,6 @@ class _FusedLane:
                         if vcode in dirty_solo:
                             del entries[victim_addr]
                             l_put_m += 1
-                            self.d_writebacks += 1
                             marks.append(victim_addr)
                         else:
                             self.directory.put_modified(victim_addr, aid)
@@ -635,74 +595,50 @@ class _FusedLane:
                     code = front_read
                 # Serve the fill (inlined _serve_fill).
                 page_tag = tag >> tag_page_shift
-                if page_tag == last_page:
-                    # Page is its set's MRU (we made it so on the last
-                    # fill and nothing evicted it since): the resident
-                    # probe and the LRU touch are both no-op-equivalent.
-                    l_stat_hits += 1
-                    l_fm_hits += 1
-                    l_fmem_hits += 1
-                    cost = fmem_ns
-                    if fmem_exact:
-                        l_n_fmem += 1
-                    else:
-                        acct["fmem_hit"] += cost
-                    if cap is not None:
-                        if stage:
-                            stage_row((seq_off + age, line, None))
+                # The memoed page is its set's MRU (we made it so on the
+                # last fill and nothing moved FMem since): resident, and
+                # placing it again changes nothing.
+                if page_tag != last_page:
+                    fm_pages = fm_sets[page_tag & fm_set_mask]
+                    hit = page_tag in fm_pages
+                    if not hit:
+                        l_remote += 1
+                        if fast_locate:
+                            window = (line - vf_base) // slab_bytes
+                            node = wn_get(window)
+                            if node is None:
+                                node = window_nodes[window] = locate(line).node
                         else:
-                            cap.record(seq_off + age, line, None, 0,
-                                       0.0, 0.0, cost)
-                elif page_tag in fm_all[fm_sidx := page_tag & fm_set_mask]:
-                    l_stat_hits += 1
-                    if fm_lru:
-                        order = fm_policies[fm_sidx]._order
-                        if order[-1] != page_tag:
-                            order.remove(page_tag)
-                            order.append(page_tag)
+                            node = locate(line).node
+                        l_fm_fills += 1
+                    # Inlined FMemCache.place: promote or fill the page.
+                    victim = None
+                    if hit:
+                        del fm_pages[page_tag]
+                    elif len(fm_pages) >= FMEM_WAYS:
+                        victim = next(iter(fm_pages))
+                        del fm_pages[victim]
                     else:
-                        fm_policies[fm_sidx].touch(page_tag)
-                    l_fm_hits += 1
-                    l_fmem_hits += 1
-                    cost = fmem_ns
-                    if fmem_exact:
-                        l_n_fmem += 1
-                    else:
-                        acct["fmem_hit"] += cost
-                    if cap is not None:
-                        if stage:
-                            stage_row((seq_off + age, line, None))
-                        else:
-                            cap.record(seq_off + age, line, None, 0,
-                                       0.0, 0.0, cost)
+                        fmem.occupancy += 1
+                    fm_pages[page_tag] = None
                     last_page = page_tag
-                else:
-                    l_remote += 1
-                    if fast_locate:
-                        window = (line - vf_base) // slab_bytes
-                        node = wn_get(window)
-                        if node is None:
-                            node = window_nodes[window] = locate(line).node
-                    else:
-                        node = locate(line).node
-                    l_stat_misses += 1
-                    l_fm_fills += 1
-                    fm_sidx = page_tag & fm_set_mask
-                    fm_lines = fm_all[fm_sidx]
-                    policy = fm_policies[fm_sidx]
-                    victim_page = None
-                    if len(fm_lines) >= fm_ways:
-                        victim_page = policy.evict()
-                        if fm_lines.pop(victim_page):
-                            l_stat_dirty += 1
-                        l_stat_evictions += 1
+                    if victim is not None:
                         l_fm_evictions += 1
-                    else:
-                        fm_cache._occupied += 1
-                    fm_lines[page_tag] = False
-                    policy.insert(page_tag)
-                    if victim_page is not None:
-                        self.drain_page(victim_page)
+                        self.drain_page(victim)
+                else:
+                    hit = True
+                if hit:
+                    l_fmem_hits += 1
+                    cost = fmem_ns
+                    if not fmem_exact:
+                        acct["fmem_hit"] += cost
+                    if cap is not None:
+                        if stage:
+                            stage_row((seq_off + age, line, None))
+                        else:
+                            cap.record(seq_off + age, line, None, 0,
+                                       0.0, 0.0, cost)
+                else:
                     read_ns = (read_base if fast_net
                                else remote_read_ns(node, line_bytes))
                     cost = coh_ns + read_ns
@@ -715,7 +651,6 @@ class _FusedLane:
                         else:
                             cap.record(seq_off + age, line, node, 1,
                                        coh_ns, read_ns, 0.0)
-                    last_page = page_tag   # just inserted: the set's MRU
                 if prefetch is not None:
                     self._flush_for_prefetch()
                     prefetch(line)
@@ -747,14 +682,8 @@ class _FusedLane:
             self.d_put_clean += l_put_clean
             self.d_fmem_hits += l_fmem_hits
             self.d_remote += l_remote
-            self.d_fm_hits += l_fm_hits
             self.d_fm_fills += l_fm_fills
             self.d_fm_evictions += l_fm_evictions
-            self.d_stat_hits += l_stat_hits
-            self.d_stat_misses += l_stat_misses
-            self.d_stat_evictions += l_stat_evictions
-            self.d_stat_dirty += l_stat_dirty
-            self.n_fmem_charges += l_n_fmem
         # Nothing to patch in this mode; drop any snoop journal entries
         # so they don't leak into the next (reclassified) segment.
         front._mutations.clear()
@@ -841,7 +770,7 @@ class _FusedLane:
         # Pending bitmap marks — earlier dirty victims plus this
         # drain's snooped lines — must land before clear_page consumes
         # the page's mask.
-        if self.marks or self.d_writebacks:
+        if self.marks:
             self._flush_marks()
         self.ev_pages.append(page_addr)
         self.ev_masks.append(self.bitmap.clear_page(victim_page))
@@ -912,7 +841,7 @@ class _FusedLane:
                 self.marks.extend(snooped)
                 self.d_lines_snooped += len(snooped)
                 self.agent._last_access_ns = self.snoop_ns
-        if self.marks or self.d_writebacks:
+        if self.marks:
             self._flush_marks()
         self.ev_pages.extend(page_addrs)
         self.ev_masks.extend(map(self.bitmap.clear_page, page_list))
@@ -923,10 +852,6 @@ class _FusedLane:
     def _flush_marks(self) -> None:
         self.bitmap.mark_lines(self.marks)
         self.marks.clear()
-        if self.d_writebacks:
-            self.agent.counters.add("writebacks_tracked",
-                                    self.d_writebacks)
-            self.d_writebacks = 0
 
     def _write_staged(self) -> None:
         """Write the staged capture rows as one block, in order."""
@@ -960,7 +885,7 @@ class _FusedLane:
         """
         if self.staged:
             self._write_staged()
-        if self.marks or self.d_writebacks:
+        if self.marks:
             self._flush_marks()
         if self.ev_pages:
             self._flush_evictions()
@@ -972,6 +897,9 @@ class _FusedLane:
             rtc.add("cache_misses", self.d_cache_misses)
             self.d_cache_misses = 0
         fc = self.front.counters
+        dc = self.directory.counters
+        ac = self.agent.counters
+        fmc = self.fmem.counters
         if self.d_front_hits:
             fc.add("hits", self.d_front_hits)
             self.d_front_hits = 0
@@ -981,10 +909,10 @@ class _FusedLane:
         if self.d_front_evictions:
             fc.add("evictions", self.d_front_evictions)
             self.d_front_evictions = 0
-        if self.d_front_upgrades:
-            fc.add("upgrades", self.d_front_upgrades)
-            self.d_front_upgrades = 0
-        dc = self.directory.counters
+        if self.d_upgrades:
+            fc.add("upgrades", self.d_upgrades)
+            ac.add("upgrades_seen", self.d_upgrades)
+            self.d_upgrades = 0
         if self.d_get_s:
             dc.add("get_s", self.d_get_s)
             self.d_get_s = 0
@@ -992,21 +920,32 @@ class _FusedLane:
             dc.add("get_m", self.d_get_m)
             self.d_get_m = 0
         if self.d_put_m:
+            # Each fused PutM is a tracked writeback of the dirty victim.
             dc.add("put_m", self.d_put_m)
+            ac.add("writebacks_tracked", self.d_put_m)
             self.d_put_m = 0
         if self.d_put_clean:
             dc.add("put_clean", self.d_put_clean)
             self.d_put_clean = 0
-        ac = self.agent.counters
         if self.d_fmem_hits:
             ac.add("fmem_hits", self.d_fmem_hits)
+            fmc.add("hits", self.d_fmem_hits)
+            if self.fmem_ns_exact:
+                # Exact: the bucket and fmem_ns are integer-valued, so
+                # the batched product equals n sequential additions bit
+                # for bit.
+                self.account.charge("fmem_hit",
+                                    self.d_fmem_hits * self.fmem_ns)
             self.d_fmem_hits = 0
         if self.d_remote:
             ac.add("remote_fetches", self.d_remote)
             self.d_remote = 0
-        if self.d_upgrades_seen:
-            ac.add("upgrades_seen", self.d_upgrades_seen)
-            self.d_upgrades_seen = 0
+        if self.d_fm_fills:
+            fmc.add("fills", self.d_fm_fills)
+            self.d_fm_fills = 0
+        if self.d_fm_evictions:
+            fmc.add("evictions", self.d_fm_evictions)
+            self.d_fm_evictions = 0
         if self.d_lines_snooped:
             ac.add("lines_snooped", self.d_lines_snooped)
             self.d_lines_snooped = 0
@@ -1019,35 +958,6 @@ class _FusedLane:
         if self.d_ext_inval:
             fc.add("external_invalidations", self.d_ext_inval)
             self.d_ext_inval = 0
-        fmc = self.agent.fmem.counters
-        if self.d_fm_hits:
-            fmc.add("hits", self.d_fm_hits)
-            self.d_fm_hits = 0
-        if self.d_fm_fills:
-            fmc.add("fills", self.d_fm_fills)
-            self.d_fm_fills = 0
-        if self.d_fm_evictions:
-            fmc.add("evictions", self.d_fm_evictions)
-            self.d_fm_evictions = 0
-        st = self.fm_stats
-        if self.d_stat_hits:
-            st.hits += self.d_stat_hits
-            self.d_stat_hits = 0
-        if self.d_stat_misses:
-            st.misses += self.d_stat_misses
-            self.d_stat_misses = 0
-        if self.d_stat_evictions:
-            st.evictions += self.d_stat_evictions
-            self.d_stat_evictions = 0
-        if self.d_stat_dirty:
-            st.dirty_writebacks += self.d_stat_dirty
-            self.d_stat_dirty = 0
-        if self.n_fmem_charges:
-            # Exact: the bucket and fmem_ns are integer-valued, so the
-            # batched product equals n sequential additions bit for bit.
-            self.account.charge("fmem_hit",
-                                self.n_fmem_charges * self.fmem_ns)
-            self.n_fmem_charges = 0
 
 
 def run_trace_batched(rt: "KonaRuntime",
@@ -1190,7 +1100,7 @@ def _run_span(rt: "KonaRuntime", front: VectorizedCoherentCache,
         end = min(-(-(g_base + local) // _CADENCE) * _CADENCE - g_base + 1, m)
         if hot:
             free = (tick is None
-                    and lane.fm_cache._occupied <= rt.reclaim_limit
+                    and lane.fmem.occupancy <= rt.reclaim_limit
                     and not (rt.replication is not None
                              and rt.replication.backlog_slots))
             stall, end = _run_patch(rt, front, tags, w, pure, flat, ages,
@@ -1313,7 +1223,7 @@ def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
             if front._mutations:
                 _patch_mutations(front, tags[p + 1:], pure[p + 1:])
             if (g_base is not None
-                    and lane.fm_cache._occupied > rt.reclaim_limit):
+                    and lane.fmem.occupancy > rt.reclaim_limit):
                 # Maintenance acts where this event's segment closes.
                 end = min(-(-(g_base + p) // _CADENCE) * _CADENCE
                           - g_base + 1, end)

@@ -114,7 +114,7 @@ class KonaRuntime:
 
         # -- compute-node hardware --------------------------------------------
         self.vfmem = AddressRange(VFMEM_BASE, cfg.vfmem_capacity)
-        self.fmem = FMemCache(cfg.fmem_capacity, cfg.page_size, cfg.fmem_ways)
+        self.fmem = FMemCache(cfg.fmem_capacity, cfg.page_size)
         # The largest FMem occupancy that fails ``maybe_evict``'s test,
         # ``k / frames > high and k > int(low * frames)`` (monotone in
         # ``k``; the float quotient decides).  Hot passes run up to it.

@@ -137,11 +137,6 @@ class TestLevelSpecValidation:
         with pytest.raises(ConfigError):
             CacheHierarchy(())
 
-    def test_stats_of_unknown_level(self):
-        h = small_hierarchy()
-        with pytest.raises(ConfigError):
-            h.stats_of("L9")
-
 
 class TestEngineSelection:
     def test_unknown_engine_rejected(self):

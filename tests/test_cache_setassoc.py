@@ -79,48 +79,12 @@ class TestAccess:
 
 
 class TestMaintenance:
-    def test_probe_does_not_disturb(self):
-        c = make_cache()
-        c.access(0, False)
-        hits_before = c.stats.hits
-        assert c.probe(0)
-        assert not c.probe(4096 * 10)
-        assert c.stats.hits == hits_before
-
-    def test_invalidate(self):
-        c = make_cache()
-        c.access(0, True)
-        ev = c.invalidate(0)
-        assert ev is not None and ev.dirty
-        assert not c.probe(0)
-        assert c.invalidate(0) is None
-
-    def test_clean(self):
-        c = make_cache()
-        c.access(0, True)
-        assert c.clean(0)
-        assert not c.is_dirty(0)
-        assert not c.clean(0)
-
     def test_occupancy_and_resident_blocks(self):
         c = make_cache()
         c.access(0, False)
         c.access(64, False)
         assert c.occupancy == 2
         assert c.resident_blocks() == [0, 64]
-
-
-class TestStats:
-    def test_miss_ratio(self):
-        c = make_cache()
-        c.access(0, False)
-        c.access(0, False)
-        c.access(0, False)
-        c.access(4096, False)
-        assert c.stats.miss_ratio == pytest.approx(0.5)
-
-    def test_empty_miss_ratio(self):
-        assert make_cache().stats.miss_ratio == 0.0
 
 
 class TestPolicies:

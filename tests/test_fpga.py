@@ -69,6 +69,7 @@ class TestFMemCache:
         assert not hit
         hit, _ = f.touch(4095)   # same page
         assert hit
+        assert f.hit_ratio == 0.5
 
     def test_lookup_is_pure(self):
         f = FMemCache(64 * u.KB)
@@ -77,19 +78,61 @@ class TestFMemCache:
         assert f.lookup(0)
 
     def test_eviction_reports_victim_page(self):
-        f = FMemCache(4 * u.PAGE_4K, ways=4)   # one set of 4 pages
+        f = FMemCache(4 * u.PAGE_4K)   # one set of 4 pages
         for i in range(4):
             f.touch(i * u.PAGE_4K)
-        _, eviction = f.touch(4 * u.PAGE_4K)
-        assert eviction is not None
-        assert eviction.vfmem_page_addr == 0
+        _, victim = f.touch(4 * u.PAGE_4K)
+        assert victim == 0
+        assert f.counters["evictions"] == 1
+
+    def test_hit_promotes_its_page(self):
+        # FIFO order would push page 0 out next; the hit makes it the
+        # most recent page, so the next fills take pages 1 and 2.
+        f = FMemCache(4 * u.PAGE_4K)   # one set of 4 pages
+        for i in range(4):
+            f.touch(i * u.PAGE_4K)
+        assert f.touch(0) == (True, None)
+        assert f.touch(4 * u.PAGE_4K) == (False, u.PAGE_4K)
+        assert f.touch(5 * u.PAGE_4K) == (False, 2 * u.PAGE_4K)
+        assert f.lookup(0)
+
+    def test_place_counts_nothing(self):
+        f = FMemCache(4 * u.PAGE_4K)   # one set of 4 pages
+        assert [f.place(tag) for tag in range(5)] == [
+            (False, None), (False, None), (False, None), (False, None),
+            (False, 0)]
+        assert f.place(4) == (True, None)
+        assert f.counters.as_dict() == {}
+        assert f.occupancy == 4
+        assert f.resident_pages() == [t * u.PAGE_4K for t in (1, 2, 3, 4)]
+
+    def test_evict_lru_takes_one_page_per_set_per_pass(self):
+        page = u.PAGE_4K
+        f = FMemCache(2 * 4 * page)   # two sets of 4 pages
+        # Set 0 holds pages 2, 4, 0 in LRU order (0 was promoted); set
+        # 1 holds page 1.
+        for tag in (0, 2, 4, 1, 0):
+            f.touch(tag * page)
+        # Pass one takes set 0's LRU page, then set 1's; pass two takes
+        # set 0's next page, and the budget is spent.
+        assert f.evict_lru(3) == [2 * page, 1 * page, 4 * page]
+        assert f.occupancy == 1 and f.resident_pages() == [0]
+        # A budget past the occupancy stops when FMem is empty.
+        assert f.evict_lru(5) == [0]
+        assert f.occupancy == 0
+        assert f.counters["proactive_evictions"] == 4
 
     def test_drop(self):
-        f = FMemCache(64 * u.KB)
-        f.touch(0)
-        assert f.drop(0)
-        assert not f.lookup(0)
-        assert not f.drop(0)
+        f = FMemCache(4 * u.PAGE_4K)   # one set of 4 pages
+        for i in range(4):
+            f.touch(i * u.PAGE_4K)
+        assert f.drop(u.PAGE_4K)
+        assert not f.lookup(u.PAGE_4K)
+        assert not f.drop(u.PAGE_4K)
+        assert f.occupancy == 3
+        # The freed frame takes the next fill: no page is pushed out.
+        assert f.touch(4 * u.PAGE_4K) == (False, None)
+        assert f.occupancy == 4
 
     def test_capacity_rounds_to_power_of_two_sets(self):
         f = FMemCache(3 * 4 * u.PAGE_4K)    # 3 sets -> rounds down to 2

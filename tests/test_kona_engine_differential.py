@@ -16,6 +16,7 @@ from repro.common.errors import (AddressError, ConfigError, NodeFailure,
 from repro.experiments.bench import runtime_fingerprint
 from repro.experiments.chaos import (REGION_BYTES, build_chaos_runtime,
                                      chaos_stream)
+from repro.fpga.fmem import WAYS
 from repro.kona.config import KonaConfig
 from repro.kona.runtime import KonaRuntime
 from repro.obs import FlightRecorder
@@ -214,10 +215,10 @@ class TestMaintenanceSkip:
         # occupancy past the limit a few events into a hot slice, or
         # the replay starts above it and must reclaim at once.
         def fill(rt, engine, base):
-            fm = rt.fmem._cache
-            page = rt.fmem.page_size
-            room = [fm.ways - len(lines) for lines in fm._lines]
-            need = rt.reclaim_limit - headroom - rt.fmem.occupancy
+            fm = rt.fmem
+            page = fm.page_size
+            room = [WAYS - len(pages) for pages in fm.sets]
+            need = rt.reclaim_limit - headroom - fm.occupancy
             first = int(base) // page + 1024   # past the hot set
             pages = []
             for p in range(first, first + 16 * fm.num_sets):

@@ -86,7 +86,7 @@ class TestCacheProperties:
         cache = SetAssociativeCache("P", 4 * u.KB, 64, 4)
         for block in blocks:
             cache.access(block * 64, False)
-            assert cache.probe(block * 64)
+            assert block * 64 in cache.resident_blocks()
 
 
 class TestCoherenceProperties:
